@@ -3,6 +3,7 @@ package dedup
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cagc/internal/cow"
 	"cagc/internal/flash"
@@ -83,6 +84,10 @@ const entryChunkShift = 6
 func NewIndex() *Index {
 	return &Index{byFP: flathash.New[CID](0)}
 }
+
+// Reserve sizes the CID table for n contents without changing its
+// state, so filling it does not re-copy it on every growth step.
+func (x *Index) Reserve(n int) { x.entries = slices.Grow(x.entries, n-len(x.entries)) }
 
 // Live returns the number of unique contents currently stored.
 func (x *Index) Live() int { return x.live }

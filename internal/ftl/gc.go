@@ -60,13 +60,11 @@ func (f *FTL) maybeGC(now event.Time) error {
 	f.stats.GCInvocations++
 
 	for i := 0; i < maxGCBatch && f.freeCount < f.gcFreeOK; i++ {
-		cands := f.victimCandidates()
-		if len(cands) == 0 {
+		victim, ok := f.selectVictim(now)
+		if !ok {
 			f.stats.FutileGC++
 			return nil
 		}
-		victim := f.opts.Policy.Select(now, cands)
-		f.tr.Instant(obs.TrackGC, obs.KGCSelect, now, uint64(victim))
 		if err := f.collect(now, victim); err != nil {
 			return fmt.Errorf("ftl: gc of block %d: %w", victim, err)
 		}
@@ -93,12 +91,10 @@ func (f *FTL) IdleGC(now, deadline event.Time, target float64) error {
 		if f.gcBusyUntil > deadline {
 			break
 		}
-		cands := f.victimCandidates()
-		if len(cands) == 0 {
+		victim, ok := f.selectVictim(now)
+		if !ok {
 			break
 		}
-		victim := f.opts.Policy.Select(now, cands)
-		f.tr.Instant(obs.TrackGC, obs.KGCSelect, now, uint64(victim))
 		if err := f.collect(now, victim); err != nil {
 			return fmt.Errorf("ftl: idle gc of block %d: %w", victim, err)
 		}
@@ -123,12 +119,10 @@ func (f *FTL) ForceGC(now event.Time) error {
 	defer func() { f.inGC = false }()
 	f.stats.GCInvocations++
 	for {
-		cands := f.victimCandidates()
-		if len(cands) == 0 {
+		victim, ok := f.selectVictim(now)
+		if !ok {
 			return nil
 		}
-		victim := f.opts.Policy.Select(now, cands)
-		f.tr.Instant(obs.TrackGC, obs.KGCSelect, now, uint64(victim))
 		if err := f.collect(now, victim); err != nil {
 			return fmt.Errorf("ftl: forced gc of block %d: %w", victim, err)
 		}

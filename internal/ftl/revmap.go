@@ -46,6 +46,13 @@ const nilNode = int32(-1)
 
 func newRevMap() revMap { return revMap{free: nilNode} }
 
+// reserve sizes the tables for n CIDs and n chain nodes.
+func (m *revMap) reserve(n int) {
+	m.heads = slices.Grow(m.heads, n-len(m.heads))
+	m.tails = slices.Grow(m.tails, n-len(m.tails))
+	m.nodes = slices.Grow(m.nodes, n-len(m.nodes))
+}
+
 // ensure grows the per-CID tables to cover c (CIDs are dense and
 // recycled by the dedup index).
 func (m *revMap) ensure(c dedup.CID) {

@@ -33,17 +33,18 @@ func TestForEachPerIndexErrors(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 1000
-			var failed atomic.Bool
+			var stopped atomic.Bool
+			defer SetStopHook(func() { stopped.Store(true) })()
 			errs := ForEach(n, workers, func(i int) error {
 				if i == 3 {
-					failed.Store(true)
 					return boom
 				}
-				// Park tasks in flight until the failure is visible so the
-				// dispatcher stops early and some indices stay undispatched.
-				// (Serial execution reaches index 3 on its own: 0..2 run
-				// before it, and nothing after it is dispatched.)
-				for workers > 1 && !failed.Load() {
+				// Park tasks in flight until the pool has recorded the
+				// failure, so dispatch stops early and some indices stay
+				// undispatched. (Serial execution reaches index 3 on its
+				// own: 0..2 run before it, and nothing after it is
+				// dispatched.)
+				for workers > 1 && !stopped.Load() {
 					runtime.Gosched()
 				}
 				return nil
@@ -129,5 +130,38 @@ func TestFirst(t *testing.T) {
 	}
 	if err := First([]error{nil, ErrNotRun}); !errors.Is(err, ErrNotRun) {
 		t.Errorf("First = %v, want ErrNotRun when nothing else failed", err)
+	}
+}
+
+// TestErrNotRunMeansNeverRan: under free-running workers (no parking),
+// an index reports ErrNotRun exactly when its task never ran, for both
+// dispatchers — the bookkeeping half of the dispatch contract.
+func TestErrNotRunMeansNeverRan(t *testing.T) {
+	boom := errors.New("boom")
+	const n = 500
+	dispatchers := map[string]func(task func(int) error) []error{
+		"ForEach": func(task func(int) error) []error { return ForEach(n, 4, task) },
+		"Run":     func(task func(int) error) []error { return Run(n, Options{Workers: 4}, task).Errs },
+	}
+	for name, dispatch := range dispatchers {
+		for fail := 0; fail < n; fail += 37 {
+			var ran [n]atomic.Bool
+			errs := dispatch(func(i int) error {
+				ran[i].Store(true)
+				if i == fail {
+					return boom
+				}
+				return nil
+			})
+			if errs == nil {
+				t.Fatalf("%s fail=%d: errs = nil", name, fail)
+			}
+			for i, err := range errs {
+				if notRun := errors.Is(err, ErrNotRun); notRun == ran[i].Load() {
+					t.Fatalf("%s fail=%d: index %d ran=%v but errs[%d] = %v",
+						name, fail, i, ran[i].Load(), i, err)
+				}
+			}
+		}
 	}
 }

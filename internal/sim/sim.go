@@ -408,12 +408,20 @@ func Run(cfg Config, spec trace.Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Post-run self-check: a result from an inconsistent FTL is not a
-	// result.
-	if err := r.f.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("sim: post-run invariant violation: %w", err)
+	if err := r.CheckInvariants(); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// CheckInvariants is the post-run self-check every run path ends in: a
+// result from an inconsistent FTL is not a result. It walks the whole
+// FTL once, O(device pages).
+func (r *Runner) CheckInvariants() error {
+	if err := r.f.CheckInvariants(); err != nil {
+		return fmt.Errorf("sim: post-run invariant violation: %w", err)
+	}
+	return nil
 }
 
 func subStats(a, b ftl.Stats) ftl.Stats {

@@ -167,8 +167,8 @@ func replayOn(r *Runner, offset event.Time, spec trace.Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.f.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("sim: post-run invariant violation: %w", err)
+	if err := r.CheckInvariants(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

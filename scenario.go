@@ -226,5 +226,8 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 	if err != nil {
 		return nil, fmt.Errorf("cagc: scenario: %w", err)
 	}
+	if err := runner.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("cagc: scenario: %w", err)
+	}
 	return res, nil
 }

@@ -205,7 +205,8 @@ func ScaleTrace(src TraceSource, factor float64) TraceSource {
 // ReplayTrace replays an arbitrary request stream through scheme s
 // after standard preconditioning. The warm device state is served from
 // the snapshot cache when available (see warmcache.go); set
-// Params.ColdStart to precondition from scratch instead.
+// Params.ColdStart to precondition from scratch instead. Like every run
+// path it ends in the FTL invariant self-check.
 func ReplayTrace(src TraceSource, w Workload, s Scheme, policy string, p Params) (*Result, error) {
 	p = p.withDefaults()
 	pol, err := ftl.PolicyByName(policy, p.Seed)
@@ -236,7 +237,14 @@ func ReplayTrace(src TraceSource, w Workload, s Scheme, policy string, p Params)
 	if err != nil {
 		return nil, err
 	}
-	return runner.Replay(src, offset, string(w))
+	res, err := runner.Replay(src, offset, string(w))
+	if err != nil {
+		return nil, err
+	}
+	if err := runner.CheckInvariants(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // warmReplayRunner returns a preconditioned runner for cfg — served
