@@ -89,7 +89,9 @@ func run(args []string, stderr io.Writer, shutdown <-chan os.Signal, ready func(
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	// A client must send its request headers within ReadHeaderTimeout;
+	// without one a slow client holds its connection open indefinitely.
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	fmt.Fprintf(stderr, "cagcserve: listening on http://%s\n", ln.Addr())
 	if ready != nil {
 		ready(ln.Addr().String())

@@ -4,9 +4,34 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cagc/internal/flash"
 )
+
+// TestEntryLayout pins the 24-byte CID record and checks that the
+// highest page number a device can have survives its 32-bit field.
+func TestEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 24 {
+		t.Errorf("entry is %d bytes, want 24", got)
+	}
+	top := flash.PPN(flash.MaxPages - 1)
+	x := NewIndex()
+	c, err := x.Insert(OfUint64(1), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := x.PPN(c); p != top {
+		t.Fatalf("PPN = %d, want %d", p, top)
+	}
+	u := x.InsertUnindexed(OfUint64(2), top-1)
+	if err := x.SetPPN(u, top-2); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := x.PPN(u); p != top-2 {
+		t.Fatalf("PPN after SetPPN = %d, want %d", p, top-2)
+	}
+}
 
 func TestFingerprintOfDeterministic(t *testing.T) {
 	a := Of([]byte("hello flash"))

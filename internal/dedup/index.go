@@ -24,9 +24,14 @@ var (
 	ErrDangling = errors.New("dedup: decrement of zero refcount")
 )
 
+// entry is one CID's record: 24 bytes, not 32. Every overwrite and GC
+// migration touches an entry at random, so the table's footprint is
+// what the cache sees. ppn holds a flash.PPN in 32 bits, which is
+// lossless because flash.Geometry.Validate bounds every device to
+// flash.MaxPages pages.
 type entry struct {
 	fp        Fingerprint
-	ppn       flash.PPN
+	ppn       uint32
 	ref       int32
 	peak      int32 // maximum refcount ever reached; feeds the Figure-6 analysis
 	unindexed bool  // true until the content is hashed and published (CAGC)
@@ -76,8 +81,11 @@ type Index struct {
 	track *cow.Tracker
 }
 
+// Compile-time proof that a page number fits entry.ppn.
+const _ = uint32(flash.MaxPages)
+
 // entryChunkShift sizes the entry dirty-tracking chunks: 64 entries
-// (~2 KB) per chunk.
+// (1.5 KB) per chunk.
 const entryChunkShift = 6
 
 // NewIndex returns an empty index.
@@ -131,7 +139,7 @@ func (x *Index) Insert(fp Fingerprint, ppn flash.PPN) (CID, error) {
 		c = CID(len(x.entries))
 		x.entries = append(x.entries, entry{})
 	}
-	x.entries[c] = entry{fp: fp, ppn: ppn, ref: 1, peak: 1}
+	x.entries[c] = entry{fp: fp, ppn: uint32(ppn), ref: 1, peak: 1}
 	x.track.Mark(int(c))
 	s := x.byFP.Put(uint64(fp), c)
 	x.live++
@@ -196,7 +204,7 @@ func (x *Index) PPN(c CID) (flash.PPN, error) {
 	if err := x.check(c); err != nil {
 		return flash.InvalidPPN, err
 	}
-	return x.entries[c].ppn, nil
+	return flash.PPN(x.entries[c].ppn), nil
 }
 
 // SetPPN relocates c's content (GC migration): one metadata update no
@@ -205,7 +213,7 @@ func (x *Index) SetPPN(c CID, ppn flash.PPN) error {
 	if err := x.check(c); err != nil {
 		return err
 	}
-	x.entries[c].ppn = ppn
+	x.entries[c].ppn = uint32(ppn)
 	x.track.Mark(int(c))
 	return nil
 }

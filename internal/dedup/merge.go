@@ -28,7 +28,7 @@ func (x *Index) InsertUnindexed(fp Fingerprint, ppn flash.PPN) CID {
 		c = CID(len(x.entries))
 		x.entries = append(x.entries, entry{})
 	}
-	x.entries[c] = entry{fp: fp, ppn: ppn, ref: 1, peak: 1, unindexed: true}
+	x.entries[c] = entry{fp: fp, ppn: uint32(ppn), ref: 1, peak: 1, unindexed: true}
 	x.track.Mark(int(c))
 	x.live++
 	x.stats.Inserts++

@@ -28,12 +28,12 @@ func (s PageState) String() string {
 	}
 }
 
-// Block is the bookkeeping for one erase block. All mutation goes
-// through Device so counters stay consistent.
+// Block is the bookkeeping for one erase block: counters only. The
+// page states and content tags live in the device-wide page table
+// (Device.PageStates), so a block carries no slices of its own. All
+// mutation goes through Device so counters stay consistent.
 type Block struct {
-	states []PageState
-	tags   []uint64 // content stamp per page, for integrity checking
-
+	pages      int // pages per block (the geometry's PagesPerBlock)
 	writePtr   int // next programmable page index (NAND programs in order)
 	validCnt   int
 	invalidCnt int
@@ -51,16 +51,13 @@ func (b *Block) Valid() int { return b.validCnt }
 func (b *Block) Invalid() int { return b.invalidCnt }
 
 // Free returns the number of never-programmed (erased) pages.
-func (b *Block) Free() int { return len(b.states) - b.writePtr }
+func (b *Block) Free() int { return b.pages - b.writePtr }
 
 // Full reports whether every page has been programmed since last erase.
-func (b *Block) Full() bool { return b.writePtr == len(b.states) }
+func (b *Block) Full() bool { return b.writePtr == b.pages }
 
 // Erases returns how many times the block has been erased.
 func (b *Block) Erases() int { return b.eraseCnt }
 
 // LastProgram returns the device time of the last program operation.
 func (b *Block) LastProgram() int64 { return b.lastProgram }
-
-// State returns the state of the page at in-block index i.
-func (b *Block) State(i int) PageState { return b.states[i] }

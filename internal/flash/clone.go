@@ -16,7 +16,9 @@ import (
 func (d *Device) Clone() *Device {
 	c := &Device{
 		cfg:    d.cfg,
-		blocks: make([]Block, len(d.blocks)),
+		blocks: slices.Clone(d.blocks),
+		states: slices.Clone(d.states),
+		tags:   slices.Clone(d.tags),
 		dies:   make([]*event.Timeline, len(d.dies)),
 		hash:   d.hash.Clone(),
 		stats:  d.stats,
@@ -26,12 +28,6 @@ func (d *Device) Clone() *Device {
 
 		totalPages: d.totalPages,
 	}
-	for i := range d.blocks {
-		b := d.blocks[i]
-		b.states = slices.Clone(b.states)
-		b.tags = slices.Clone(b.tags)
-		c.blocks[i] = b
-	}
 	for i, tl := range d.dies {
 		c.dies[i] = tl.Clone()
 	}
@@ -39,25 +35,17 @@ func (d *Device) Clone() *Device {
 }
 
 // CopyFrom makes d an exact copy of src, reusing d's existing
-// allocations — the per-block state/tag arrays, the die timelines, and
-// the hash pool. This is the recycled-clone path of the warm-state
+// allocations — the block counters, the page table, the die timelines,
+// and the hash pool. This is the recycled-clone path of the warm-state
 // free-list: after the first clone, re-seeding a recycled device from
 // the snapshot master is pure copying with zero heap growth. Observable
 // behavior is identical to Clone; d must come from the same
 // configuration as src (same geometry), which the snapshot layer
 // guarantees.
 func (d *Device) CopyFrom(src *Device) {
-	if len(d.blocks) != len(src.blocks) {
-		d.blocks = make([]Block, len(src.blocks))
-	}
-	for i := range src.blocks {
-		s := &src.blocks[i]
-		dst := &d.blocks[i]
-		states, tags := dst.states[:0], dst.tags[:0]
-		*dst = *s
-		dst.states = append(states, s.states...)
-		dst.tags = append(tags, s.tags...)
-	}
+	d.blocks = append(d.blocks[:0], src.blocks...)
+	d.states = append(d.states[:0], src.states...)
+	d.tags = append(d.tags[:0], src.tags...)
 	if len(d.dies) != len(src.dies) {
 		d.dies = make([]*event.Timeline, len(src.dies))
 		for i := range d.dies {
@@ -97,10 +85,10 @@ func (d *Device) EnableCOW() {
 func (d *Device) MarkAllCOW() { d.track.MarkAll() }
 
 // blockBytes is the per-block re-seed cost CopyDirty accounts: the
-// page-state and OOB-tag arrays plus the block bookkeeping header.
-func blockBytes(b *Block) int {
-	return len(b.states)*int(unsafe.Sizeof(PageState(0))) +
-		len(b.tags)*8 + int(unsafe.Sizeof(Block{}))
+// block's page-state and OOB-tag runs plus its counter header.
+func (d *Device) blockBytes() int {
+	ppb := d.cfg.Geometry.PagesPerBlock
+	return ppb*int(unsafe.Sizeof(PageState(0))) + ppb*8 + int(unsafe.Sizeof(Block{}))
 }
 
 // CopyDirty re-seeds d from src, copying only the blocks d dirtied
@@ -110,26 +98,20 @@ func blockBytes(b *Block) int {
 // back to the full CopyFrom with full-copy accounting. The result is
 // always indistinguishable from CopyFrom.
 func (d *Device) CopyDirty(src *Device) int {
-	if d.track.All() || len(d.blocks) != len(src.blocks) {
+	if d.track.All() || len(d.blocks) != len(src.blocks) || len(d.states) != len(src.states) {
 		d.CopyFrom(src)
-		n := 0
-		for i := range src.blocks {
-			n += blockBytes(&src.blocks[i])
-		}
-		return n + d.smallStateBytes(src)
+		return len(src.blocks)*src.blockBytes() + d.smallStateBytes(src)
 	}
 	n := 0
 	d.track.Chunks(func(i int) {
 		if i >= len(src.blocks) {
 			return
 		}
-		s := &src.blocks[i]
-		dst := &d.blocks[i]
-		states, tags := dst.states[:0], dst.tags[:0]
-		*dst = *s
-		dst.states = append(states, s.states...)
-		dst.tags = append(tags, s.tags...)
-		n += blockBytes(s)
+		d.blocks[i] = src.blocks[i]
+		lo, hi := src.cfg.Geometry.pageRun(BlockID(i))
+		copy(d.states[lo:hi], src.states[lo:hi])
+		copy(d.tags[lo:hi], src.tags[lo:hi])
+		n += src.blockBytes()
 	})
 	d.track.Reset()
 	return n + d.smallStateBytes(src)

@@ -37,6 +37,12 @@ type Stats struct {
 type Device struct {
 	cfg    Config
 	blocks []Block
+	// The page table: one device-wide array per field, indexed by PPN,
+	// so a page operation touches one byte of state and one tag word
+	// with no per-block indirection. Block b owns the run starting at
+	// PageOf(b, 0).
+	states []PageState
+	tags   []uint64 // content stamp per page, for integrity checking
 	dies   []*event.Timeline
 	hash   *event.Pool // controller hash engines
 	stats  Stats
@@ -53,7 +59,8 @@ type Device struct {
 	// track, when non-nil, records which blocks diverged from the
 	// snapshot master this device was seeded from (chunk = one block:
 	// page-state and OOB-tag mutations are block-grained anyway).
-	// CopyDirty re-copies only those blocks.
+	// CopyDirty re-copies only those blocks' counters and page-table
+	// runs.
 	track *cow.Tracker
 }
 
@@ -66,6 +73,8 @@ func NewDevice(cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:        cfg,
 		blocks:     make([]Block, g.TotalBlocks()),
+		states:     make([]PageState, g.TotalPages()),
+		tags:       make([]uint64, g.TotalPages()),
 		dies:       make([]*event.Timeline, g.Dies()),
 		hash:       event.NewPool(cfg.hashUnits()),
 		dieOps:     make([]Stats, g.Dies()),
@@ -73,8 +82,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		totalPages: uint64(g.TotalPages()),
 	}
 	for i := range d.blocks {
-		d.blocks[i].states = make([]PageState, g.PagesPerBlock)
-		d.blocks[i].tags = make([]uint64, g.PagesPerBlock)
+		d.blocks[i].pages = g.PagesPerBlock
 	}
 	for i := range d.dies {
 		d.dies[i] = event.NewTimeline()
@@ -99,6 +107,14 @@ func (d *Device) Block(b BlockID) (*Block, error) {
 		return nil, fmt.Errorf("%w: %d (have %d)", ErrBadBlock, b, len(d.blocks))
 	}
 	return &d.blocks[b], nil
+}
+
+// PageStates returns block b's run of the page table: the state of its
+// page i is element i. The view is live (later operations show through)
+// and read-only; callers must not write to it. b must be in range.
+func (d *Device) PageStates(b BlockID) []PageState {
+	lo, hi := d.cfg.Geometry.pageRun(b)
+	return d.states[lo:hi:hi]
 }
 
 // DieFreeAt returns when die die becomes idle.
@@ -143,12 +159,10 @@ func (d *Device) ReadPage(at event.Time, p PPN) (event.Time, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	g := d.cfg.Geometry
-	blk := &d.blocks[g.BlockOf(p)]
-	if blk.states[g.PageIndexOf(p)] == PageFree {
+	if d.states[p] == PageFree {
 		return 0, fmt.Errorf("%w: ppn %d", ErrNotProgrammed, p)
 	}
-	die := g.DieOf(p)
+	die := d.cfg.Geometry.DieOf(p)
 	start, end := d.dies[die].Reserve(at, d.cfg.Latencies.Read)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieRead, start, end, uint64(p))
 	d.stats.PageReads++
@@ -168,20 +182,19 @@ func (d *Device) ProgramPage(at, dataReady event.Time, p PPN, tag uint64) (event
 	g := d.cfg.Geometry
 	b := g.BlockOf(p)
 	blk := &d.blocks[b]
-	idx := g.PageIndexOf(p)
-	if blk.states[idx] != PageFree {
-		return 0, fmt.Errorf("%w: ppn %d is %v", ErrPageBusy, p, blk.states[idx])
+	if d.states[p] != PageFree {
+		return 0, fmt.Errorf("%w: ppn %d is %v", ErrPageBusy, p, d.states[p])
 	}
-	if idx != blk.writePtr {
+	if idx := g.PageIndexOf(p); idx != blk.writePtr {
 		return 0, fmt.Errorf("%w: ppn %d is page %d of block %d, next programmable is %d",
 			ErrOutOfOrder, p, idx, b, blk.writePtr)
 	}
-	die := g.DieOf(p)
+	die := g.DieOfBlock(b)
 	start, end := d.dies[die].ReserveAfter(at, dataReady, d.cfg.Latencies.Program)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieProgram, start, end, uint64(p))
 	d.dieOps[die].PagePrograms++
-	blk.states[idx] = PageValid
-	blk.tags[idx] = tag
+	d.states[p] = PageValid
+	d.tags[p] = tag
 	blk.writePtr++
 	blk.validCnt++
 	blk.lastProgram = int64(end)
@@ -197,14 +210,12 @@ func (d *Device) Invalidate(p PPN) error {
 	if err := d.checkPPN(p); err != nil {
 		return err
 	}
-	g := d.cfg.Geometry
-	b := g.BlockOf(p)
-	blk := &d.blocks[b]
-	idx := g.PageIndexOf(p)
-	if blk.states[idx] != PageValid {
-		return fmt.Errorf("%w: ppn %d is %v", ErrNotInvalid, p, blk.states[idx])
+	if d.states[p] != PageValid {
+		return fmt.Errorf("%w: ppn %d is %v", ErrNotInvalid, p, d.states[p])
 	}
-	blk.states[idx] = PageInvalid
+	d.states[p] = PageInvalid
+	b := d.cfg.Geometry.BlockOf(p)
+	blk := &d.blocks[b]
 	blk.validCnt--
 	blk.invalidCnt++
 	d.track.Mark(int(b))
@@ -233,8 +244,9 @@ func (d *Device) EraseBlock(at, migrated event.Time, b BlockID) (event.Time, err
 	// Two memclr calls instead of one fused loop: the compiler lowers
 	// each clear to a runtime memclr, which the per-index loop's pair of
 	// strided stores defeats. PageFree is the zero state.
-	clear(blk.states)
-	clear(blk.tags)
+	lo, hi := d.cfg.Geometry.pageRun(b)
+	clear(d.states[lo:hi])
+	clear(d.tags[lo:hi])
 	blk.writePtr = 0
 	blk.invalidCnt = 0
 	blk.eraseCnt++
@@ -249,8 +261,7 @@ func (d *Device) Tag(p PPN) (uint64, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	g := d.cfg.Geometry
-	return d.blocks[g.BlockOf(p)].tags[g.PageIndexOf(p)], nil
+	return d.tags[p], nil
 }
 
 // PageStateOf returns the state of page p.
@@ -258,8 +269,7 @@ func (d *Device) PageStateOf(p PPN) (PageState, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	g := d.cfg.Geometry
-	return d.blocks[g.BlockOf(p)].states[g.PageIndexOf(p)], nil
+	return d.states[p], nil
 }
 
 // CountStates tallies pages by state across the device, an O(pages)
@@ -269,7 +279,7 @@ func (d *Device) CountStates() (free, valid, invalid int) {
 		b := &d.blocks[i]
 		valid += b.validCnt
 		invalid += b.invalidCnt
-		free += len(b.states) - b.validCnt - b.invalidCnt
+		free += b.pages - b.validCnt - b.invalidCnt
 	}
 	return free, valid, invalid
 }

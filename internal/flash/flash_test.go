@@ -2,6 +2,7 @@ package flash
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -88,7 +89,7 @@ func TestGeometryValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 10; i++ {
 		bad := good
 		switch i {
 		case 0:
@@ -103,6 +104,16 @@ func TestGeometryValidate(t *testing.T) {
 			bad.PagesPerBlock = 0
 		case 5:
 			bad.PageSize = 0
+		case 6:
+			bad.PagesPerBlock = 48 // not a power of two
+		case 7:
+			bad.PagesPerBlock = 1<<16 + 1
+		case 8:
+			bad.BlocksPerPlan = 1 << 30 // 2^34 pages: past the 32-bit page fields
+		case 9:
+			// Every factor 2^20: the product overflows int64 if multiplied
+			// naively, and must still be rejected.
+			bad = Geometry{1 << 20, 1 << 20, 1 << 20, 1 << 20, 1 << 20, 4096}
 		}
 		if err := bad.Validate(); err == nil {
 			t.Errorf("case %d: invalid geometry accepted", i)
@@ -123,6 +134,27 @@ func TestConfigValidate(t *testing.T) {
 	c.Latencies.Erase = 0
 	if err := c.Validate(); err == nil {
 		t.Error("zero erase latency accepted")
+	}
+	c = tinyConfig()
+	c.Geometry.PagesPerBlock = 12
+	if err := c.Validate(); err == nil {
+		t.Error("non-power-of-two PagesPerBlock accepted")
+	}
+	// The largest representable device passes; one more block does not.
+	c = tinyConfig()
+	c.Geometry = Geometry{Channels: 1, DiesPerChan: 1, PlanesPerDie: 1,
+		BlocksPerPlan: MaxPages / 64, PagesPerBlock: 64, PageSize: 4096}
+	if err := c.Validate(); err != nil {
+		t.Errorf("%d-page device rejected: %v", c.Geometry.TotalPages(), err)
+	}
+	c.Geometry.BlocksPerPlan++
+	if err := c.Validate(); err == nil {
+		t.Errorf("%d-page device accepted", c.Geometry.TotalPages())
+	}
+	// A 64 TiB ScaledConfig does not fit, and NewDevice refuses it
+	// before building any page table.
+	if _, err := NewDevice(ScaledConfig(1 << 46)); err == nil {
+		t.Error("64 TiB device accepted")
 	}
 }
 
@@ -434,6 +466,29 @@ func TestWearAccounting(t *testing.T) {
 	}
 }
 
+// TestDeviceAllocsIndependentOfSize checks that building and cloning a
+// device costs a fixed number of allocations: the page table is two
+// device-wide arrays, not two slices per block.
+func TestDeviceAllocsIndependentOfSize(t *testing.T) {
+	small, large := ScaledConfig(16<<20), ScaledConfig(256<<20)
+	if small.Geometry.Dies() != large.Geometry.Dies() {
+		t.Fatal("configs differ in die count; allocations would too")
+	}
+	build := func(cfg Config) float64 {
+		return testing.AllocsPerRun(20, func() { NewDevice(cfg) })
+	}
+	clone := func(cfg Config) float64 {
+		d := mustDevice(t, cfg)
+		return testing.AllocsPerRun(20, func() { d.Clone() })
+	}
+	if a, b := build(small), build(large); a != b {
+		t.Errorf("NewDevice: %v allocs at %d blocks, %v at %d", a, small.Geometry.TotalBlocks(), b, large.Geometry.TotalBlocks())
+	}
+	if a, b := clone(small), clone(large); a != b {
+		t.Errorf("Clone: %v allocs at %d blocks, %v at %d", a, small.Geometry.TotalBlocks(), b, large.Geometry.TotalBlocks())
+	}
+}
+
 func TestPageStateString(t *testing.T) {
 	if PageFree.String() != "free" || PageValid.String() != "valid" || PageInvalid.String() != "invalid" {
 		t.Error("state strings wrong")
@@ -443,56 +498,146 @@ func TestPageStateString(t *testing.T) {
 	}
 }
 
-// Property: an arbitrary interleaving of legal operations never breaks
-// page-count conservation and never lets valid counts go negative.
-func TestDeviceStateMachineProperty(t *testing.T) {
-	g := tinyConfig()
-	prop := func(script []uint8) bool {
-		d, err := NewDevice(g)
-		if err != nil {
-			return false
-		}
-		geo := d.Geometry()
-		total := geo.TotalPages()
+// FuzzDeviceStateMachine drives a device through an arbitrary script
+// of operations: legal programs, invalidations, and erases, plus the
+// out-of-order program, double invalidation, and live erase the device
+// must reject. After every operation each block's counters must equal
+// a recount of its run in the page table. Halfway through, a Clone is
+// taken as a snapshot master and tracking is turned on; at the end a
+// Clone must equal the device, and a tracked CopyDirty re-seed from the
+// snapshot must equal the snapshot.
+func FuzzDeviceStateMachine(f *testing.F) {
+	f.Add([]byte{0, 4, 8, 12, 2, 6, 3, 7})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		d := mustDevice(t, tinyConfig())
+		g := d.Geometry()
 		now := event.Time(0)
-		for _, op := range script {
-			blk := BlockID(int(op>>2) % geo.TotalBlocks())
-			switch op & 3 {
-			case 0, 1: // program next free page of blk
-				b := &d.blocks[blk]
-				if !b.Full() {
-					now, err = d.ProgramPage(now, 0, geo.PageOf(blk, b.writePtr), uint64(op))
-					if err != nil {
-						return false
-					}
+		var snap *Device
+		for k, op := range script {
+			if k == len(script)/2 {
+				snap = d.Clone()
+				if !sameDevice(snap, d) {
+					t.Fatalf("op %d: Clone differs from the device", k)
 				}
-			case 2: // invalidate first valid page of blk
-				b := &d.blocks[blk]
-				for i := 0; i < b.writePtr; i++ {
-					if b.states[i] == PageValid {
-						if d.Invalidate(geo.PageOf(blk, i)) != nil {
-							return false
-						}
-						break
-					}
-				}
-			case 3: // erase blk if no valid pages
-				b := &d.blocks[blk]
-				if b.validCnt == 0 && b.writePtr > 0 {
-					now, err = d.EraseBlock(now, 0, blk)
-					if err != nil {
-						return false
-					}
-				}
+				d.EnableCOW()
 			}
-			f, v, i := d.CountStates()
-			if f+v+i != total || v < 0 || i < 0 || f < 0 {
-				return false
+			stepDevice(t, d, g, op, &now)
+			checkRecount(t, d, k)
+		}
+		if !sameDevice(d.Clone(), d) {
+			t.Fatal("Clone differs from the device")
+		}
+		if snap == nil {
+			return
+		}
+		n := d.CopyDirty(snap)
+		if !sameDevice(d, snap) {
+			t.Fatal("CopyDirty re-seed differs from the snapshot")
+		}
+		if full := d.Clone(); full.CopyDirty(snap) < n {
+			t.Fatalf("dirty re-seed copied %d bytes, more than the full copy", n)
+		}
+	})
+}
+
+// stepDevice applies one scripted operation. The low two bits pick the
+// operation, the next three the block, and the top three a page hint.
+func stepDevice(t *testing.T, d *Device, g Geometry, op byte, now *event.Time) {
+	t.Helper()
+	blk := BlockID(int(op>>2&7) % g.TotalBlocks())
+	hint := int(op >> 5)
+	b := &d.blocks[blk]
+	states := d.PageStates(blk)
+	var err error
+	switch op & 3 {
+	case 0: // program the next free page
+		if b.Full() {
+			return
+		}
+		if *now, err = d.ProgramPage(*now, 0, g.PageOf(blk, b.writePtr), uint64(op)+1); err != nil {
+			t.Fatalf("program: %v", err)
+		}
+	case 1: // program past the write pointer, or a programmed page: rejected
+		p := g.PageOf(blk, hint%g.PagesPerBlock)
+		if g.PageIndexOf(p) == b.writePtr {
+			return
+		}
+		want := ErrOutOfOrder
+		if states[g.PageIndexOf(p)] != PageFree {
+			want = ErrPageBusy
+		}
+		if _, err := d.ProgramPage(*now, 0, p, 1); !errors.Is(err, want) {
+			t.Fatalf("program of %v page %d (write pointer %d): err = %v, want %v",
+				states[g.PageIndexOf(p)], g.PageIndexOf(p), b.writePtr, err, want)
+		}
+	case 2: // invalidate the first valid page at or after the hint
+		for j := range g.PagesPerBlock {
+			i := (hint + j) % g.PagesPerBlock
+			switch states[i] {
+			case PageValid:
+				if err := d.Invalidate(g.PageOf(blk, i)); err != nil {
+					t.Fatalf("invalidate: %v", err)
+				}
+				return
+			case PageInvalid:
+				if err := d.Invalidate(g.PageOf(blk, i)); !errors.Is(err, ErrNotInvalid) {
+					t.Fatalf("second invalidate: err = %v, want ErrNotInvalid", err)
+				}
 			}
 		}
-		return true
+	case 3: // erase, which must fail exactly when valid pages remain
+		if b.writePtr == 0 {
+			return
+		}
+		end, err := d.EraseBlock(*now, 0, blk)
+		if b.validCnt > 0 {
+			if !errors.Is(err, ErrLiveErase) {
+				t.Fatalf("erase of a live block: err = %v, want ErrLiveErase", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("erase: %v", err)
+		}
+		*now = end
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+}
+
+// checkRecount fails unless every block's counters equal a recount of
+// its page-table run: pages below the write pointer are programmed,
+// pages from it on are free with a zero tag.
+func checkRecount(t *testing.T, d *Device, op int) {
+	t.Helper()
+	for b := range d.blocks {
+		blk := &d.blocks[b]
+		valid, invalid := 0, 0
+		for i, st := range d.PageStates(BlockID(b)) {
+			switch {
+			case st == PageValid:
+				valid++
+			case st == PageInvalid:
+				invalid++
+			case d.tags[d.Geometry().PageOf(BlockID(b), i)] != 0:
+				t.Fatalf("op %d: free page %d of block %d has a tag", op, i, b)
+			}
+			if (i < blk.writePtr) != (st != PageFree) {
+				t.Fatalf("op %d: block %d page %d is %v with write pointer %d", op, b, i, st, blk.writePtr)
+			}
+		}
+		if valid != blk.Valid() || invalid != blk.Invalid() || valid+invalid != blk.writePtr {
+			t.Fatalf("op %d: block %d counts valid=%d invalid=%d writePtr=%d, recount valid=%d invalid=%d",
+				op, b, blk.Valid(), blk.Invalid(), blk.writePtr, valid, invalid)
+		}
 	}
+	if f, v, i := d.CountStates(); f+v+i != d.Geometry().TotalPages() {
+		t.Fatalf("op %d: CountStates %d+%d+%d != %d pages", op, f, v, i, d.Geometry().TotalPages())
+	}
+}
+
+// sameDevice reports whether two devices hold identical state, ignoring
+// their divergence trackers.
+func sameDevice(a, b *Device) bool {
+	x, y := *a, *b
+	x.track, y.track = nil, nil
+	return reflect.DeepEqual(&x, &y)
 }

@@ -10,7 +10,11 @@
 // before reuse).
 package flash
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // PPN is a flat physical page number across the whole device.
 type PPN uint64
@@ -36,7 +40,16 @@ type Geometry struct {
 	PageSize      int // bytes per page
 }
 
-// Validate checks that every dimension is positive.
+// MaxPages is the largest page count a device may have. The dedup
+// index stores PPNs and the FTL's reverse map stores LPNs in 32-bit
+// fields, so every page number must fit one.
+const MaxPages = math.MaxUint32
+
+// Validate checks that every dimension is positive, that PagesPerBlock
+// is a power of two (page addressing is a shift and a mask), and that
+// the page count fits MaxPages. It allocates nothing, so an
+// unrepresentable geometry is rejected before any per-page table is
+// built.
 func (g Geometry) Validate() error {
 	switch {
 	case g.Channels <= 0:
@@ -51,6 +64,17 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("flash: geometry: PagesPerBlock = %d, must be > 0", g.PagesPerBlock)
 	case g.PageSize <= 0:
 		return fmt.Errorf("flash: geometry: PageSize = %d, must be > 0", g.PageSize)
+	case g.PagesPerBlock&(g.PagesPerBlock-1) != 0:
+		return fmt.Errorf("flash: geometry: PagesPerBlock = %d, must be a power of two", g.PagesPerBlock)
+	}
+	// Multiply up with an overflow-proof bound check at every step.
+	pages := uint64(1)
+	for _, n := range [...]int{g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerPlan, g.PagesPerBlock} {
+		if uint64(n) > MaxPages/pages {
+			return fmt.Errorf("flash: geometry: %dch x %ddie x %dpl x %dblk x %dpg exceeds %d pages",
+				g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerPlan, g.PagesPerBlock, uint64(MaxPages))
+		}
+		pages *= uint64(n)
 	}
 	return nil
 }
@@ -79,20 +103,27 @@ func (g Geometry) PageOf(b BlockID, pg int) PPN {
 	return PPN(uint64(b)*uint64(g.PagesPerBlock) + uint64(pg))
 }
 
-// BlockOf returns the block containing p.
+// BlockOf returns the block containing p: a shift, because Validate
+// guarantees PagesPerBlock is a power of two.
 func (g Geometry) BlockOf(p PPN) BlockID {
-	return BlockID(uint64(p) / uint64(g.PagesPerBlock))
+	return BlockID(uint64(p) >> bits.TrailingZeros(uint(g.PagesPerBlock)))
 }
 
 // PageIndexOf returns the in-block page index of p.
-func (g Geometry) PageIndexOf(p PPN) int {
-	return int(uint64(p) % uint64(g.PagesPerBlock))
+func (g Geometry) PageIndexOf(p PPN) int { return int(uint64(p) & uint64(g.PagesPerBlock-1)) }
+
+// pageRun returns the PPN range [lo, hi) of block b's pages.
+func (g Geometry) pageRun(b BlockID) (lo, hi int) {
+	lo = int(g.PageOf(b, 0))
+	return lo, lo + g.PagesPerBlock
 }
 
 // DieOfBlock returns the die a block lives on. Blocks are laid out die
 // by die: blocks [d*PlanesPerDie*BlocksPerPlan, (d+1)*...) belong to die d.
+// Both operands fit 32 bits once Validate bounds the page count, and a
+// 32-bit divide is cheaper than a 64-bit one.
 func (g Geometry) DieOfBlock(b BlockID) DieID {
-	return DieID(int(b) / (g.PlanesPerDie * g.BlocksPerPlan))
+	return DieID(uint32(b) / uint32(g.PlanesPerDie*g.BlocksPerPlan))
 }
 
 // DieOf returns the die a page lives on.

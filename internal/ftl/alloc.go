@@ -41,13 +41,13 @@ func (f *FTL) pushFree(b flash.BlockID) {
 }
 
 // allocPage returns the next programmable page in the given region.
-func (f *FTL) allocPage(region Region) (flash.PPN, flash.DieID, error) {
+func (f *FTL) allocPage(region Region) (flash.PPN, error) {
 	g := &f.geo
 	if region == Cold && f.opts.HotCold {
 		if !f.hasCold {
 			b, ok := f.popFree(flash.DieID(f.hotRR % f.dies))
 			if !ok {
-				return flash.InvalidPPN, 0, ErrDeviceFull
+				return flash.InvalidPPN, ErrDeviceFull
 			}
 			f.coldOpen = b
 			f.hasCold = true
@@ -56,10 +56,9 @@ func (f *FTL) allocPage(region Region) (flash.PPN, flash.DieID, error) {
 		}
 		blk, err := f.dev.Block(f.coldOpen)
 		if err != nil {
-			return flash.InvalidPPN, 0, err
+			return flash.InvalidPPN, err
 		}
-		ppn := g.PageOf(f.coldOpen, blk.Valid()+blk.Invalid())
-		return ppn, g.DieOf(ppn), nil
+		return g.PageOf(f.coldOpen, blk.Valid()+blk.Invalid()), nil
 	}
 
 	// Hot region: round-robin across per-die open blocks.
@@ -79,7 +78,7 @@ func (f *FTL) allocPage(region Region) (flash.PPN, flash.DieID, error) {
 		b := f.hotOpen[d]
 		blk, err := f.dev.Block(b)
 		if err != nil {
-			return flash.InvalidPPN, 0, err
+			return flash.InvalidPPN, err
 		}
 		next := blk.Valid() + blk.Invalid()
 		if next >= g.PagesPerBlock {
@@ -94,10 +93,9 @@ func (f *FTL) allocPage(region Region) (flash.PPN, flash.DieID, error) {
 			continue
 		}
 		f.hotRR = (d + 1) % dies
-		ppn := g.PageOf(b, next)
-		return ppn, g.DieOf(ppn), nil
+		return g.PageOf(b, next), nil
 	}
-	return flash.InvalidPPN, 0, ErrDeviceFull
+	return flash.InvalidPPN, ErrDeviceFull
 }
 
 // closeIfFull retires the containing block from its frontier once every

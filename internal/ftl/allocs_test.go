@@ -2,8 +2,10 @@ package ftl
 
 import (
 	"testing"
+	"unsafe"
 
 	"cagc/internal/dedup"
+	"cagc/internal/flash"
 )
 
 // Steady-state guards for the flat structures the replay phase hammers:
@@ -61,5 +63,25 @@ func TestRevMapSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state bind/clear churn allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestRevMapRecordLayout pins the 8-byte CID and node records and
+// checks that the highest LPN a device can have survives the 32-bit
+// node field.
+func TestRevMapRecordLayout(t *testing.T) {
+	if e, n := unsafe.Sizeof(revEnds{}), unsafe.Sizeof(revNode{}); e != 8 || n != 8 {
+		t.Errorf("revEnds is %d bytes and revNode %d, want 8 and 8", e, n)
+	}
+	m := newRevMap()
+	top := uint64(flash.MaxPages - 1)
+	m.add(3, top)
+	m.add(3, 7)
+	var got []uint64
+	for n := m.head(3); n != nilNode; n = m.nodes[n].next {
+		got = append(got, uint64(m.nodes[n].lpn))
+	}
+	if len(got) != 2 || got[0] != top || got[1] != 7 {
+		t.Fatalf("chain = %v, want [%d 7]", got, top)
 	}
 }

@@ -272,11 +272,10 @@ func (f *FTL) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (event.Time
 
 	// Baseline / CAGC write path: program immediately; content is
 	// unindexed (never hashed on the foreground path).
-	ppn, die, err := f.allocPage(Hot)
+	ppn, err := f.allocPage(Hot)
 	if err != nil {
 		return 0, err
 	}
-	_ = die
 	end, err := f.dev.ProgramPage(at, at, ppn, uint64(fp))
 	if err != nil {
 		return 0, err
@@ -313,7 +312,7 @@ func (f *FTL) writeInline(at event.Time, lpn uint64, fp dedup.Fingerprint, old d
 		f.stats.InlineDupHits++
 		return hashEnd + f.opts.CtrlLatency, nil
 	}
-	ppn, _, err := f.allocPage(Hot)
+	ppn, err := f.allocPage(Hot)
 	if err != nil {
 		return 0, err
 	}

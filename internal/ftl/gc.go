@@ -229,8 +229,7 @@ func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
 // every flash and hash operation of the collection has completed.
 func (f *FTL) collectVictim(now event.Time, victim flash.BlockID) (event.Time, error) {
 	g := &f.geo
-	blk, err := f.dev.Block(victim)
-	if err != nil {
+	if _, err := f.dev.Block(victim); err != nil {
 		return 0, err
 	}
 	// blockDone gates the erase in the serial mode only.
@@ -238,11 +237,13 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID) (event.Time, e
 	// cursor gates each page chain in the serial (no-overlap) mode.
 	cursor := now
 
-	for i := 0; i < g.PagesPerBlock; i++ {
-		ppn := g.PageOf(victim, i)
-		if blk.State(i) != flash.PageValid {
+	// The view is live: a promotion during the walk can invalidate a
+	// later page of the victim, which the loop then skips.
+	for i, st := range f.dev.PageStates(victim) {
+		if st != flash.PageValid {
 			continue
 		}
+		ppn := g.PageOf(victim, i)
 		c := f.owners[ppn]
 		if c == dedup.NilCID {
 			return 0, fmt.Errorf("valid ppn %d without owner", ppn)
@@ -418,7 +419,7 @@ func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, c dedup
 		f.stats.Demotions++
 		f.tr.Instant(obs.TrackGC, obs.KDemote, now, uint64(oldPPN))
 	}
-	dest, _, err := f.allocPage(region)
+	dest, err := f.allocPage(region)
 	if err != nil {
 		return 0, err
 	}
@@ -474,7 +475,7 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 	if err != nil {
 		return 0, false, err
 	}
-	dest, _, err := f.allocPage(Cold)
+	dest, err := f.allocPage(Cold)
 	if err != nil {
 		return 0, false, err
 	}
@@ -505,7 +506,7 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 // the freelist during the walk, so add can never reuse them.
 func (f *FTL) remapAll(from, to dedup.CID) {
 	for n := f.rev.head(from); n != nilNode; n = f.rev.nodes[n].next {
-		lpn := f.rev.nodes[n].lpn
+		lpn := uint64(f.rev.nodes[n].lpn)
 		if f.mapping[lpn] == from {
 			f.mapping[lpn] = to
 			f.cowMap.Mark(int(lpn))

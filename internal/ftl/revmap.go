@@ -5,6 +5,7 @@ import (
 
 	"cagc/internal/cow"
 	"cagc/internal/dedup"
+	"cagc/internal/flash"
 )
 
 // revMap is the lazy CID→LPN reverse map used by GC-time merges. It is
@@ -14,33 +15,46 @@ import (
 // lists of slice indices, with a freelist threading through cleared
 // chains. That makes the steady-state bind path allocation-free (the
 // arena grows to the workload's peak chain volume once, then recycles),
-// and makes Clone three flat copies instead of one slice allocation per
+// and makes Clone two flat copies instead of one slice allocation per
 // live CID.
+//
+// Both tables hold 8-byte records: a CID's head and tail sit side by
+// side, so add and clear touch one cache line of the CID table, and a
+// node stores its LPN in 32 bits (flash.MaxPages bounds every LPN).
 type revMap struct {
-	heads []int32 // CID -> first node, nilNode = empty chain
-	tails []int32 // CID -> last node, for O(1) append in bind order
+	ends  []revEnds // CID -> its chain's ends
 	nodes []revNode
 	free  int32 // freelist head, nilNode = empty
 
 	// Divergence trackers for the recycled-clone CopyDirty path: one
-	// over the CID-indexed heads/tails pair, one over the node arena.
-	// nil when untracked. ensure's append growth past the master's
-	// length needs no marks (truncated away at re-seed).
+	// over the CID table, one over the node arena. nil when untracked.
+	// ensure's append growth past the master's length needs no marks
+	// (truncated away at re-seed).
 	trkCID   *cow.Tracker
 	trkNodes *cow.Tracker
 }
 
-// Chunk sizes for the revMap trackers: 128 CIDs (two 512 B head/tail
-// runs) and 128 arena nodes per chunk.
+// Chunk sizes for the revMap trackers: 128 CIDs and 128 arena nodes
+// (1 KiB each) per chunk.
 const (
 	revCIDChunkShift  = 7
 	revNodeChunkShift = 7
 )
 
+// revEnds is one CID's chain: its first node, and its last for O(1)
+// append in bind order. nilNode in both means an empty chain.
+type revEnds struct {
+	head, tail int32
+}
+
 type revNode struct {
-	lpn  uint64
+	lpn  uint32
 	next int32
 }
+
+// Compile-time proof that an LPN (below the device's page count) fits
+// revNode.lpn.
+const _ = uint32(flash.MaxPages)
 
 const nilNode = int32(-1)
 
@@ -48,26 +62,24 @@ func newRevMap() revMap { return revMap{free: nilNode} }
 
 // reserve sizes the tables for n CIDs and n chain nodes.
 func (m *revMap) reserve(n int) {
-	m.heads = slices.Grow(m.heads, n-len(m.heads))
-	m.tails = slices.Grow(m.tails, n-len(m.tails))
+	m.ends = slices.Grow(m.ends, n-len(m.ends))
 	m.nodes = slices.Grow(m.nodes, n-len(m.nodes))
 }
 
 // ensure grows the per-CID tables to cover c (CIDs are dense and
 // recycled by the dedup index).
 func (m *revMap) ensure(c dedup.CID) {
-	for int(c) >= len(m.heads) {
-		m.heads = append(m.heads, nilNode)
-		m.tails = append(m.tails, nilNode)
+	for int(c) >= len(m.ends) {
+		m.ends = append(m.ends, revEnds{nilNode, nilNode})
 	}
 }
 
 // head returns c's first node, or nilNode.
 func (m *revMap) head(c dedup.CID) int32 {
-	if int(c) >= len(m.heads) {
+	if int(c) >= len(m.ends) {
 		return nilNode
 	}
-	return m.heads[c]
+	return m.ends[c].head
 }
 
 // add appends lpn to c's chain, reusing a freelist node when one
@@ -77,33 +89,34 @@ func (m *revMap) add(c dedup.CID, lpn uint64) {
 	n := m.free
 	if n != nilNode {
 		m.free = m.nodes[n].next
-		m.nodes[n] = revNode{lpn: lpn, next: nilNode}
+		m.nodes[n] = revNode{lpn: uint32(lpn), next: nilNode}
 		m.trkNodes.Mark(int(n))
 	} else {
 		n = int32(len(m.nodes))
-		m.nodes = append(m.nodes, revNode{lpn: lpn, next: nilNode})
+		m.nodes = append(m.nodes, revNode{lpn: uint32(lpn), next: nilNode})
 	}
-	if t := m.tails[c]; t == nilNode {
-		m.heads[c] = n
+	e := &m.ends[c]
+	if e.tail == nilNode {
+		e.head = n
 	} else {
-		m.nodes[t].next = n
-		m.trkNodes.Mark(int(t))
+		m.nodes[e.tail].next = n
+		m.trkNodes.Mark(int(e.tail))
 	}
-	m.tails[c] = n
+	e.tail = n
 	m.trkCID.Mark(int(c))
 }
 
 // clear empties c's chain by splicing it whole onto the freelist, so
 // the nodes serve the CID's next tenant without reallocation.
 func (m *revMap) clear(c dedup.CID) {
-	if int(c) >= len(m.heads) || m.heads[c] == nilNode {
+	if int(c) >= len(m.ends) || m.ends[c].head == nilNode {
 		return
 	}
-	m.nodes[m.tails[c]].next = m.free
-	m.trkNodes.Mark(int(m.tails[c]))
-	m.free = m.heads[c]
-	m.heads[c] = nilNode
-	m.tails[c] = nilNode
+	e := &m.ends[c]
+	m.nodes[e.tail].next = m.free
+	m.trkNodes.Mark(int(e.tail))
+	m.free = e.head
+	*e = revEnds{nilNode, nilNode}
 	m.trkCID.Mark(int(c))
 }
 
@@ -111,8 +124,7 @@ func (m *revMap) clear(c dedup.CID) {
 // per-chain work.
 func (m *revMap) clone() revMap {
 	return revMap{
-		heads: slices.Clone(m.heads),
-		tails: slices.Clone(m.tails),
+		ends:  slices.Clone(m.ends),
 		nodes: slices.Clone(m.nodes),
 		free:  m.free,
 	}
@@ -121,8 +133,7 @@ func (m *revMap) clone() revMap {
 // copyFrom overwrites m with src's state, reusing m's arrays and
 // keeping (resetting) m's own trackers.
 func (m *revMap) copyFrom(src *revMap) {
-	m.heads = append(m.heads[:0], src.heads...)
-	m.tails = append(m.tails[:0], src.tails...)
+	m.ends = append(m.ends[:0], src.ends...)
 	m.nodes = append(m.nodes[:0], src.nodes...)
 	m.free = src.free
 	m.trkCID.Reset()
@@ -143,12 +154,11 @@ func (m *revMap) markAllCOW() {
 	m.trkNodes.MarkAll()
 }
 
-// copyDirty re-seeds m from src copying only dirty chunks (heads and
-// tails share the CID tracker) and returns the bytes copied. Untracked
-// maps degrade to the full copy with full accounting.
+// copyDirty re-seeds m from src copying only dirty chunks and returns
+// the bytes copied. Untracked maps degrade to the full copy with full
+// accounting.
 func (m *revMap) copyDirty(src *revMap) int {
-	n := cow.CopySlice(m.trkCID, &m.heads, src.heads)
-	n += cow.CopySlice(m.trkCID, &m.tails, src.tails)
+	n := cow.CopySlice(m.trkCID, &m.ends, src.ends)
 	n += cow.CopySlice(m.trkNodes, &m.nodes, src.nodes)
 	m.free = src.free
 	m.trkCID.Reset()

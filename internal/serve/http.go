@@ -2,7 +2,8 @@ package serve
 
 // HTTP surface. Thin and stdlib-only: the mux (go1.22 method+wildcard
 // patterns) decodes JSON job specs, maps engine errors onto status
-// codes (validation 400, admission 429 + Retry-After, shutdown 503),
+// codes (validation 400, oversized body 413, admission 429 +
+// Retry-After, shutdown 503),
 // and streams artifacts. The one load-bearing subtlety is /result: it
 // writes the stored document bytes VERBATIM — never re-encoded through
 // a JSON layer — because byte-identity with the CLI's -json output is
@@ -11,6 +12,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -80,11 +82,22 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// MaxSpecBytes bounds the body of POST /v1/jobs. A job spec is a few
+// hundred bytes; the bound leaves room for a batch job's seed list and
+// stops an oversized body before it is buffered or decoded.
+const MaxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("job spec exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 		return
 	}

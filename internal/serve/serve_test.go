@@ -329,6 +329,38 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// A job spec over MaxSpecBytes is answered 413 without being decoded
+// to the end, and never reaches the queue.
+func TestServeRejectsOversizedSpec(t *testing.T) {
+	s := New(Options{})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// A well-formed spec whose seed list pushes it past the bound.
+	var body strings.Builder
+	body.WriteString(`{"kind":"batch","params":{"DeviceBytes":16777216,"Requests":10},"seeds":[1`)
+	for body.Len() <= MaxSpecBytes {
+		body.WriteString(",1")
+	}
+	body.WriteString("]}")
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d (%s), want 413", resp.StatusCode, msg)
+	}
+	if qs := s.queue.Stats(); qs.Admitted != 0 {
+		t.Fatalf("oversized spec reached the queue: %+v", qs)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized spec registered %d jobs", len(jobs))
+	}
+}
+
 // Traced jobs execute (even on a warm cache), expose a Chrome trace
 // with serve-track events, and still populate the result cache.
 func TestServeTrace(t *testing.T) {
@@ -462,6 +494,14 @@ func TestServeMetricsAndCatalog(t *testing.T) {
 
 	st, _ := postJob(t, ts, JobSpec{Params: testParams(21)})
 	waitDone(t, s, st.ID)
+	// The job signals done from inside its queue slot; the queue counts
+	// it executed just after. Wait for that count, not for the signal.
+	for deadline := time.Now().Add(10 * time.Second); s.queue.Stats().Done != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never counted the job executed: %+v", s.queue.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	postJob(t, ts, JobSpec{Params: testParams(21)}) // cache hit
 
 	metrics, code := getBody(t, ts, "/metrics")
