@@ -79,40 +79,9 @@ func (b *WriteBuffer) SetTracer(tr obs.Tracer) { b.tr = obs.Or(tr) }
 // reproduced exactly, so the copy coalesces, evicts, and drains the
 // same pages at the same times the original would.
 func (b *WriteBuffer) Clone(f *ftl.FTL) *WriteBuffer {
-	c := &WriteBuffer{
-		f:     f,
-		cap:   b.cap,
-		lru:   list.New(),
-		index: make(map[uint64]*list.Element, len(b.index)),
-		ctrl:  b.ctrl,
-		stats: b.stats,
-		tr:    b.tr,
-	}
-	for el := b.lru.Front(); el != nil; el = el.Next() {
-		s := *el.Value.(*slot)
-		c.index[s.lpn] = c.lru.PushBack(&s)
-	}
+	c := new(WriteBuffer)
+	c.CopyDirty(b, f)
 	return c
-}
-
-// CopyFrom makes b an exact copy of src bound to f (the recycled-clone
-// path). The buffer's LRU is list+map backed, so the copy rebuilds the
-// slot chain like Clone does; only the WriteBuffer struct itself is
-// reused. Buffered configurations are rare in batch/fleet runs, so this
-// path stays simple rather than flat.
-func (b *WriteBuffer) CopyFrom(src *WriteBuffer, f *ftl.FTL) {
-	b.f = f
-	b.cap = src.cap
-	b.ctrl = src.ctrl
-	b.stats = src.stats
-	b.tr = src.tr
-	b.lru = list.New()
-	b.index = make(map[uint64]*list.Element, len(src.index))
-	for el := src.lru.Front(); el != nil; el = el.Next() {
-		s := *el.Value.(*slot)
-		b.index[s.lpn] = b.lru.PushBack(&s)
-	}
-	b.dirty = false // b's chain equals src's again
 }
 
 // MarkAllCOW forces the next CopyDirty onto the full rebuild path —
@@ -123,22 +92,30 @@ func (b *WriteBuffer) MarkAllCOW() { b.dirty = true }
 // the slot value plus its list element and index entry.
 const slotCopyBytes = 64
 
-// CopyDirty re-seeds b from src bound to f. When the slot chain never
-// diverged from src (the coarse dirty flag is clear — e.g. a replay
-// that exercised no buffered configuration ops), only the scalars are
-// refreshed and the rebuild is skipped entirely; otherwise this is
-// CopyFrom. Returns the bytes copied; always indistinguishable from
-// CopyFrom.
+// CopyDirty makes b an exact copy of src bound to f and returns the
+// bytes copied. The scalars are always refreshed. The slot chain is
+// rebuilt (the LRU is list+map backed, so the copy is a walk, not a
+// flat copy) unless it never diverged from src — the coarse dirty flag
+// is clear, e.g. after a replay that exercised no buffered
+// configuration ops. A zero WriteBuffer has no chain and always
+// rebuilds. Buffered configurations are rare in batch/fleet runs, so
+// this path stays simple rather than flat.
 func (b *WriteBuffer) CopyDirty(src *WriteBuffer, f *ftl.FTL) int {
-	if !b.dirty {
-		b.f = f
-		b.cap = src.cap
-		b.ctrl = src.ctrl
-		b.stats = src.stats
-		b.tr = src.tr
+	b.f = f
+	b.cap = src.cap
+	b.ctrl = src.ctrl
+	b.stats = src.stats
+	b.tr = src.tr
+	if !b.dirty && b.lru != nil {
 		return 0
 	}
-	b.CopyFrom(src, f)
+	b.lru = list.New()
+	b.index = make(map[uint64]*list.Element, len(src.index))
+	for el := src.lru.Front(); el != nil; el = el.Next() {
+		s := *el.Value.(*slot)
+		b.index[s.lpn] = b.lru.PushBack(&s)
+	}
+	b.dirty = false // b's chain equals src's again
 	return len(src.index) * slotCopyBytes
 }
 

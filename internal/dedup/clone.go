@@ -1,42 +1,20 @@
 package dedup
 
 import (
-	"slices"
-
 	"cagc/internal/cow"
+	"cagc/internal/flathash"
 )
 
-// Clone returns a deep, independent copy of the index: entries,
-// fingerprint table, free-CID stack, and counters. Because the
+// Clone returns a deep, independent, untracked copy of the index:
+// entries, fingerprint table, free-CID stack, and counters. Because the
 // fingerprint table is open-addressed with its recency list stored as
-// slot indices inside the slots, the copy is a handful of flat copy()
-// calls — no per-element rebuild — and the clone evicts the same
-// fingerprints at the same moments a cold index in this state would.
+// slot indices inside the slots, the copy is a handful of flat copies —
+// no per-element rebuild — and the clone evicts the same fingerprints
+// at the same moments a cold index in this state would.
 func (x *Index) Clone() *Index {
-	return &Index{
-		byFP:     x.byFP.Clone(),
-		entries:  slices.Clone(x.entries),
-		freeIDs:  slices.Clone(x.freeIDs),
-		live:     x.live,
-		stats:    x.stats,
-		capacity: x.capacity,
-		lruOn:    x.lruOn,
-	}
-}
-
-// CopyFrom makes x an exact copy of src, reusing x's existing
-// allocations (the fingerprint table's slot array and the entry/free
-// stacks) where capacity allows. Equivalent to Clone in every
-// observable way; used by the warm-state clone free-list.
-func (x *Index) CopyFrom(src *Index) {
-	x.byFP.CopyFrom(src.byFP)
-	x.entries = append(x.entries[:0], src.entries...)
-	x.freeIDs = append(x.freeIDs[:0], src.freeIDs...)
-	x.live = src.live
-	x.stats = src.stats
-	x.capacity = src.capacity
-	x.lruOn = src.lruOn
-	x.track.Reset() // x equals src everywhere again
+	c := new(Index)
+	c.CopyDirty(x)
+	return c
 }
 
 // EnableCOW turns on divergence tracking on the entry array and the
@@ -57,11 +35,15 @@ func (x *Index) MarkAllCOW() {
 	x.byFP.MarkAllCOW()
 }
 
-// CopyDirty re-seeds x from src, copying only dirty entry chunks and
-// fingerprint-table chunks, and returns the bytes copied. The free-CID
-// stack (pop/push churn, not prefix-clean) and the scalar counters are
-// always copied. Indistinguishable from CopyFrom.
+// CopyDirty makes x an exact copy of src, reusing x's allocations, and
+// returns the bytes copied. Tracked entry and fingerprint-table chunks
+// are copied only when dirty; untracked ones (a zero Index included)
+// are copied whole. The free-CID stack (pop/push churn, not
+// prefix-clean) and the scalar counters are always copied.
 func (x *Index) CopyDirty(src *Index) int {
+	if x.byFP == nil {
+		x.byFP = new(flathash.Map[CID])
+	}
 	n := x.byFP.CopyDirty(src.byFP)
 	n += cow.CopySlice(x.track, &x.entries, src.entries)
 	x.track.Reset()

@@ -21,7 +21,6 @@ package event
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // SchedKind selects the event-queue implementation behind Sim.
@@ -107,7 +106,6 @@ type queue interface {
 	peekLive(stale func(*item) bool) (Time, bool)
 	// size counts queued items, stale included.
 	size() int
-	clone() queue
 	// occupancy returns cumulative rotation/migration counters
 	// (zero for the heap).
 	occupancy() (rotations, migrations uint64)
@@ -211,8 +209,6 @@ func (h *heapQ) peekLive(stale func(*item) bool) (Time, bool) {
 
 func (h *heapQ) size() int { return len(h.q) }
 
-func (h *heapQ) clone() queue { return &heapQ{q: slices.Clone(h.q)} }
-
 func (h *heapQ) occupancy() (uint64, uint64) { return 0, 0 }
 
 // hybridThreshold is the occupancy at which the auto scheduler
@@ -299,19 +295,6 @@ func (h *hybridQ) size() int {
 		return h.cal.size()
 	}
 	return h.heap.size()
-}
-
-func (h *hybridQ) clone() queue {
-	c := &hybridQ{
-		heap:        heapQ{q: slices.Clone(h.heap.q)},
-		deep:        h.deep,
-		widthHint:   h.widthHint,
-		escalations: h.escalations,
-	}
-	if h.cal != nil {
-		c.cal = h.cal.clone().(*calendar)
-	}
-	return c
 }
 
 func (h *hybridQ) occupancy() (uint64, uint64) {
@@ -576,27 +559,6 @@ func (c *calendar) peekLive(stale func(*item) bool) (Time, bool) {
 	return best.at, true
 }
 
-func (c *calendar) clone() queue {
-	d := &calendar{
-		shift:      c.shift,
-		base:       c.base,
-		cur:        c.cur,
-		head:       c.head,
-		n:          c.n,
-		inBuckets:  c.inBuckets,
-		nonEmpty:   c.nonEmpty,
-		overflow:   slices.Clone(c.overflow),
-		rotations:  c.rotations,
-		migrations: c.migrations,
-	}
-	for i := range c.buckets {
-		if len(c.buckets[i]) > 0 {
-			d.buckets[i] = slices.Clone(c.buckets[i])
-		}
-	}
-	return d
-}
-
 // Handle names one cancelable scheduled event. The zero Handle is
 // invalid. A handle dies when its event fires, is canceled, or is
 // rescheduled (Reschedule returns the replacement handle).
@@ -730,30 +692,4 @@ func (s *Sim) SchedStats() SchedStats {
 		}
 	}
 	return st
-}
-
-// Clone returns a deep, independent copy of the simulation: clock,
-// queue contents, handle table, and counters. Handler function values
-// are shared by reference — a pending closure fired on the clone still
-// mutates whatever it captured — so cloning is meant for empty-queue
-// snapshots (warm-state runners) and for tests whose handlers only
-// touch state the test routes explicitly.
-func (s *Sim) Clone() *Sim {
-	c := &Sim{
-		now:          s.now,
-		seq:          s.seq,
-		q:            s.q.clone(),
-		stopped:      s.stopped,
-		fired:        s.fired,
-		live:         s.live,
-		kind:         s.kind,
-		maxDepth:     s.maxDepth,
-		cancels:      s.cancels,
-		reschedules:  s.reschedules,
-		staleSkipped: s.staleSkipped,
-		slots:        slices.Clone(s.slots),
-		freeSlots:    slices.Clone(s.freeSlots),
-	}
-	c.staleFn = c.itemStale
-	return c
 }

@@ -7,9 +7,9 @@ import (
 
 // Differential fuzz: the calendar queue and the reference heap must
 // produce the identical (time, seq) firing order under an adversarial
-// mix of schedules, cancels, reschedules, deadline runs, and a
-// mid-stream Clone — the property that makes -sched a pure performance
-// knob with byte-identical simulation output.
+// mix of schedules, cancels, reschedules, and deadline runs — the
+// property that makes -sched a pure performance knob with
+// byte-identical simulation output.
 
 // fireRec is one fired event: its clock reading and the identity the
 // scheduling op assigned.
@@ -20,7 +20,7 @@ type fireRec struct {
 
 // fuzzHarness drives the same op stream into a set of sims. Handlers
 // write through the mutable sink pointer rather than into a captured
-// per-sim log: Clone shares handler closures with its parent, so the
+// per-sim log: every sim shares the one handler closure, so the
 // destination must be chosen at fire time, not at capture time.
 type fuzzHarness struct {
 	sims []*Sim
@@ -35,17 +35,6 @@ func newFuzzHarness(sims ...*Sim) *fuzzHarness {
 		*h.sink = append(*h.sink, fireRec{at: now, id: id})
 	}
 	return h
-}
-
-// addClones appends mid-stream clones of the current sims, giving each
-// a fresh (empty) log.
-func (h *fuzzHarness) addClones() (from, to int) {
-	from = len(h.sims)
-	for _, s := range h.sims[:from] {
-		h.sims = append(h.sims, s.Clone())
-		h.logs = append(h.logs, nil)
-	}
-	return from, len(h.sims)
 }
 
 // each runs op against every sim, pointing the sink at that sim's log
@@ -110,7 +99,6 @@ func runSchedFuzz(t *testing.T, rng *rand.Rand, steps int, sims ...*Sim) {
 	h := newFuzzHarness(sims...)
 	var handles []Handle
 	var nextID uint64
-	cloneAt := steps / 2
 
 	// delay picks mostly in-window delays with a far-future tail that
 	// reaches the overflow ladder (window span is 256 * 16384 ns).
@@ -128,16 +116,6 @@ func runSchedFuzz(t *testing.T, rng *rand.Rand, steps int, sims ...*Sim) {
 	}
 
 	for step := 0; step < steps; step++ {
-		if step == cloneAt {
-			from, to := h.addClones()
-			for i := from; i < to; i++ {
-				parent := h.sims[i-from]
-				if h.sims[i].Now() != parent.Now() || h.sims[i].Pending() != parent.Pending() {
-					t.Fatalf("clone %d disagrees at birth: now %v/%v pending %d/%d",
-						i, h.sims[i].Now(), parent.Now(), h.sims[i].Pending(), parent.Pending())
-				}
-			}
-		}
 		switch op := rng.Intn(100); {
 		case op < 35: // plain schedule (reusable-handler path)
 			d, id := delay(), nextID
@@ -217,25 +195,10 @@ func runSchedFuzz(t *testing.T, rng *rand.Rand, steps int, sims ...*Sim) {
 		}
 	}
 
-	// Firing logs: every original agrees with the first (calendar)...
-	n0 := len(sims)
-	for i := 1; i < n0; i++ {
+	// Firing logs: every sim agrees with the first (calendar).
+	for i := 1; i < len(h.sims); i++ {
 		diffLogs(t, h.sims[i].Kind().String()+" vs "+h.sims[0].Kind().String(),
 			h.logs[0], h.logs[i])
-	}
-	if len(h.sims) == 2*n0 {
-		// ...every clone agrees with the first clone...
-		for i := 1; i < n0; i++ {
-			diffLogs(t, "cloned "+h.sims[n0+i].Kind().String()+" vs cloned "+h.sims[n0].Kind().String(),
-				h.logs[n0], h.logs[n0+i])
-		}
-		// ...and each clone replays exactly its parent's post-clone
-		// suffix (the clone log starts empty at the clone point).
-		n := len(h.logs[0]) - len(h.logs[n0])
-		if n < 0 {
-			t.Fatalf("clone fired more events (%d) than its parent (%d)", len(h.logs[n0]), len(h.logs[0]))
-		}
-		diffLogs(t, "clone vs parent suffix", h.logs[n0], h.logs[0][n:])
 	}
 	if a.SchedStats().Rotations == 0 {
 		t.Error("fuzz never rotated the calendar window; far-future tail too short")

@@ -1,7 +1,6 @@
 package flash
 
 import (
-	"slices"
 	"unsafe"
 
 	"cagc/internal/cow"
@@ -12,68 +11,17 @@ import (
 // tags, per-die timelines, the hash-engine pool, and every counter.
 // Mutating either device never affects the other, and a cloned device
 // replays the exact operation stream a cold device in the same state
-// would — warm-state snapshots depend on that.
+// would — warm-state snapshots depend on that. The copy is untracked.
 func (d *Device) Clone() *Device {
-	c := &Device{
-		cfg:    d.cfg,
-		blocks: slices.Clone(d.blocks),
-		states: slices.Clone(d.states),
-		tags:   slices.Clone(d.tags),
-		dies:   make([]*event.Timeline, len(d.dies)),
-		hash:   d.hash.Clone(),
-		stats:  d.stats,
-		dieOps: slices.Clone(d.dieOps),
-		tr:     d.tr,
-		now:    d.now,
-
-		totalPages: d.totalPages,
-	}
-	for i, tl := range d.dies {
-		c.dies[i] = tl.Clone()
-	}
+	c := new(Device)
+	c.CopyDirty(d)
 	return c
-}
-
-// CopyFrom makes d an exact copy of src, reusing d's existing
-// allocations — the block counters, the page table, the die timelines,
-// and the hash pool. This is the recycled-clone path of the warm-state
-// free-list: after the first clone, re-seeding a recycled device from
-// the snapshot master is pure copying with zero heap growth. Observable
-// behavior is identical to Clone; d must come from the same
-// configuration as src (same geometry), which the snapshot layer
-// guarantees.
-func (d *Device) CopyFrom(src *Device) {
-	d.blocks = append(d.blocks[:0], src.blocks...)
-	d.states = append(d.states[:0], src.states...)
-	d.tags = append(d.tags[:0], src.tags...)
-	if len(d.dies) != len(src.dies) {
-		d.dies = make([]*event.Timeline, len(src.dies))
-		for i := range d.dies {
-			d.dies[i] = event.NewTimeline()
-		}
-	}
-	for i, tl := range src.dies {
-		d.dies[i].CopyFrom(tl)
-	}
-	if d.hash == nil {
-		d.hash = src.hash.Clone()
-	} else {
-		d.hash.CopyFrom(src.hash)
-	}
-	d.cfg = src.cfg
-	d.stats = src.stats
-	d.dieOps = append(d.dieOps[:0], src.dieOps...)
-	d.totalPages = src.totalPages
-	d.tr = src.tr
-	d.now = src.now
-	d.track.Reset() // d equals src everywhere again
 }
 
 // EnableCOW turns on per-block divergence tracking so CopyDirty can
 // re-seed this device from its snapshot master by copying only the
-// blocks a run touched. Idempotent. Clone never inherits tracking
-// (the Device literal above leaves track nil), so cold runs pay only
-// nil-checks at the mark sites.
+// blocks a run touched. Idempotent. Clone never inherits tracking, so
+// cold runs pay only nil-checks at the mark sites.
 func (d *Device) EnableCOW() {
 	if d.track == nil {
 		d.track = cow.NewTracker(0) // chunk = one block
@@ -91,28 +39,32 @@ func (d *Device) blockBytes() int {
 	return ppb*int(unsafe.Sizeof(PageState(0))) + ppb*8 + int(unsafe.Sizeof(Block{}))
 }
 
-// CopyDirty re-seeds d from src, copying only the blocks d dirtied
-// since it last equaled src, and returns the bytes copied. The small
-// always-copied state (die timelines, hash pool, counters) is refreshed
-// unconditionally and counted. Untracked or shape-changed devices fall
-// back to the full CopyFrom with full-copy accounting. The result is
-// always indistinguishable from CopyFrom.
+// CopyDirty makes d an exact copy of src, reusing d's allocations, and
+// returns the bytes copied. A tracked device copies only the blocks it
+// dirtied since it last equaled src; an untracked, all-dirty, or
+// differently shaped one (a zero Device included) copies every block.
+// The small always-copied state (die timelines, hash pool, counters)
+// is refreshed unconditionally and counted. d keeps its own tracker,
+// reset: d equals src everywhere again.
 func (d *Device) CopyDirty(src *Device) int {
-	if d.track.All() || len(d.blocks) != len(src.blocks) || len(d.states) != len(src.states) {
-		d.CopyFrom(src)
-		return len(src.blocks)*src.blockBytes() + d.smallStateBytes(src)
+	if len(d.blocks) != len(src.blocks) || len(d.states) != len(src.states) {
+		d.track.MarkAll() // no block of d lines up with src
 	}
 	n := 0
-	d.track.Chunks(func(i int) {
-		if i >= len(src.blocks) {
-			return
-		}
-		d.blocks[i] = src.blocks[i]
-		lo, hi := src.cfg.Geometry.pageRun(BlockID(i))
-		copy(d.states[lo:hi], src.states[lo:hi])
-		copy(d.tags[lo:hi], src.tags[lo:hi])
-		n += src.blockBytes()
-	})
+	if d.track.All() {
+		d.blocks = append(d.blocks[:0], src.blocks...)
+		d.states = append(d.states[:0], src.states...)
+		d.tags = append(d.tags[:0], src.tags...)
+		n = len(src.blocks) * src.blockBytes()
+	} else {
+		d.track.Chunks(func(i int) {
+			d.blocks[i] = src.blocks[i]
+			lo, hi := src.cfg.Geometry.pageRun(BlockID(i))
+			copy(d.states[lo:hi], src.states[lo:hi])
+			copy(d.tags[lo:hi], src.tags[lo:hi])
+			n += src.blockBytes()
+		})
+	}
 	d.track.Reset()
 	return n + d.smallStateBytes(src)
 }
@@ -122,8 +74,17 @@ func (d *Device) CopyDirty(src *Device) int {
 // hash-engine pool, per-die counters, and the scalar header. These are
 // tiny next to the block arrays, which is why chunking ignores them.
 func (d *Device) smallStateBytes(src *Device) int {
+	if len(d.dies) != len(src.dies) {
+		d.dies = make([]*event.Timeline, len(src.dies))
+		for i := range d.dies {
+			d.dies[i] = event.NewTimeline()
+		}
+	}
 	for i, tl := range src.dies {
-		d.dies[i].CopyFrom(tl)
+		*d.dies[i] = *tl
+	}
+	if d.hash == nil {
+		d.hash = new(event.Pool)
 	}
 	d.hash.CopyFrom(src.hash)
 	n := cow.CopyAll(&d.dieOps, src.dieOps)

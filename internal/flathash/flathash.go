@@ -40,12 +40,7 @@
 // them immediately, never store them.
 package flathash
 
-import (
-	"slices"
-	"unsafe"
-
-	"cagc/internal/cow"
-)
+import "cagc/internal/cow"
 
 // List-link sentinels. A slot's prev field doubles as the membership
 // marker: unlinked means "not on the recency list" (distinct from being
@@ -89,7 +84,7 @@ type Map[V any] struct {
 	// track, when non-nil, records which slot chunks diverged from the
 	// snapshot master this table was seeded from; CopyDirty re-copies
 	// only those. Belongs to this table, never shared: Clone starts the
-	// copy untracked, CopyFrom/CopyDirty keep the destination's tracker.
+	// copy untracked, CopyDirty keeps the destination's tracker.
 	track *cow.Tracker
 }
 
@@ -372,27 +367,13 @@ func (m *Map[V]) unlink(i int32) {
 	m.nlist--
 }
 
-// Clone returns a deep copy. Because slots hold only values and index
-// links — no pointers — this is one flat copy of the slot array, the
-// property the warm-state snapshot cache leans on.
+// Clone returns a deep, untracked copy. Because slots hold only values
+// and index links — no pointers — this is one flat copy of the slot
+// array, the property the warm-state snapshot cache leans on.
 func (m *Map[V]) Clone() *Map[V] {
-	c := *m
-	c.slots = slices.Clone(m.slots)
-	c.track = nil // divergence tracking is per-table, never inherited
-	return &c
-}
-
-// CopyFrom makes m an exact copy of src, reusing m's slot array when
-// its capacity suffices — the recycled-clone path of the warm-state
-// free-list, which turns the per-run table copy into a pure memmove
-// after the first clone. The result is indistinguishable from Clone.
-// m keeps its own tracker (reset: m now equals src everywhere).
-func (m *Map[V]) CopyFrom(src *Map[V]) {
-	slots, track := m.slots[:0], m.track
-	*m = *src
-	m.slots = append(slots, src.slots...)
-	m.track = track
-	track.Reset()
+	c := new(Map[V])
+	c.CopyDirty(m)
+	return c
 }
 
 // Track enables chunk-level divergence tracking so CopyDirty can
@@ -409,16 +390,15 @@ func (m *Map[V]) Track() {
 // differential reference the fuzz tests compare the dirty path against.
 func (m *Map[V]) MarkAllCOW() { m.track.MarkAll() }
 
-// CopyDirty re-seeds m from src, copying only the slot chunks m
-// dirtied since it last equaled src, and returns the bytes copied.
-// Untracked, all-dirty (the table grew), or shape-changed tables fall
-// back to the full CopyFrom with full-copy byte accounting. The result
-// is always indistinguishable from CopyFrom.
+// CopyDirty makes m an exact copy of src, reusing m's slot array when
+// its capacity suffices, and returns the bytes copied. A tracked table
+// copies only the slot chunks it dirtied since it last equaled src; an
+// untracked, all-dirty (the table grew), or differently sized one (a
+// zero Map included) copies every slot. m keeps its own tracker, reset:
+// m equals src everywhere again.
 func (m *Map[V]) CopyDirty(src *Map[V]) int {
-	slotBytes := int(unsafe.Sizeof(slot[V]{}))
-	if m.track.All() || len(m.slots) != len(src.slots) {
-		m.CopyFrom(src)
-		return len(src.slots) * slotBytes
+	if len(m.slots) != len(src.slots) {
+		m.track.MarkAll() // a resized table relocated every slot
 	}
 	slots, track := m.slots, m.track
 	*m = *src

@@ -139,7 +139,7 @@ func newRefMap() *refMap {
 	return &refMap{vals: map[uint64]uint32{}, lru: list.New(), pos: map[uint64]*list.Element{}}
 }
 
-func (r *refMap) clone() *refMap {
+func (r *refMap) duplicate() *refMap {
 	c := newRefMap()
 	for k, v := range r.vals {
 		c.vals[k] = v
@@ -230,7 +230,7 @@ func TestDifferentialAgainstMapList(t *testing.T) {
 				}
 			default: // clone and continue on the copies
 				m = m.Clone()
-				ref = ref.clone()
+				ref = ref.duplicate()
 			}
 			checkEqual(t, seed, step, m, ref)
 		}

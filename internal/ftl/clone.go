@@ -1,167 +1,37 @@
 package ftl
 
 import (
-	"slices"
-
 	"cagc/internal/cow"
+	"cagc/internal/dedup"
 	"cagc/internal/flash"
+	"cagc/internal/flathash"
 )
 
-// Clone returns a deep, independent copy of the FTL bound to dev, which
-// must be a clone of the original's device (the two are snapshotted
-// together — see sim.Runner.Clone). Every piece of mutable state is
-// duplicated: mapping tables, the dedup index, block metadata, free
-// lists, write frontiers, the GC-eligible bitmap and victim index, the
-// cached mapping table, and the victim policy when it carries state
-// (ClonablePolicy).
-// The victim scratch buffer is deliberately not copied; it is rebuilt
-// on the next GC invocation and never holds live data across calls.
-//
-// The contract is bit-identity: feeding the clone and the original the
-// same operation stream produces identical results and identical
-// internal state, which is what lets warm-state snapshots stand in for
-// cold preconditioning runs.
+// Clone returns a deep, independent, untracked copy of the FTL bound to
+// dev, which must be a clone of the original's device (the two are
+// snapshotted together — see sim.Runner.Clone). See CopyDirty for what
+// is copied. The contract is bit-identity: feeding the clone and the
+// original the same operation stream produces identical results and
+// identical internal state, which is what lets warm-state snapshots
+// stand in for cold preconditioning runs.
 func (f *FTL) Clone(dev *flash.Device) *FTL {
-	c := &FTL{
-		dev:          dev,
-		opts:         f.opts,
-		geo:          f.geo,
-		dies:         f.dies,
-		gcFreeOK:     f.gcFreeOK,
-		idx:          f.idx.Clone(),
-		mapping:      slices.Clone(f.mapping),
-		owners:       slices.Clone(f.owners),
-		rev:          f.rev.clone(),
-		blocks:       slices.Clone(f.blocks),
-		freeByDie:    make([][]flash.BlockID, len(f.freeByDie)),
-		freeCount:    f.freeCount,
-		hotRR:        f.hotRR,
-		coldOpen:     f.coldOpen,
-		hasCold:      f.hasCold,
-		hotOpen:      slices.Clone(f.hotOpen),
-		hasHot:       slices.Clone(f.hasHot),
-		gcEligible:   slices.Clone(f.gcEligible),
-		inGC:         f.inGC,
-		gcBusyUntil:  f.gcBusyUntil,
-		gcHashEnd:    f.gcHashEnd,
-		stats:        f.stats,
-		tr:           f.tr,
-		RefDist:      f.RefDist,
-		logicalPages: f.logicalPages,
-	}
-	for i, l := range f.freeByDie {
-		c.freeByDie[i] = slices.Clone(l)
-	}
-	c.vix.copyFrom(&f.vix)
-	if cp, ok := f.opts.Policy.(ClonablePolicy); ok {
-		c.opts.Policy = cp.ClonePolicy()
-	}
-	if f.cmt != nil {
-		c.cmt = f.cmt.clone()
-	}
+	c := new(FTL)
+	c.CopyDirty(f, dev)
 	return c
 }
 
-// clone duplicates the cached mapping table. The recency order and
-// dirty flags live inside the flat page table, so the copy is a single
-// slot-array copy that evicts the same translation pages the original
-// would.
-func (c *cmt) clone() *cmt {
-	n := *c
-	n.pages = c.pages.Clone()
-	return &n
-}
-
-// copyFrom overwrites c with src's state, reusing c's page table.
-func (c *cmt) copyFrom(src *cmt) {
-	pages := c.pages
-	*c = *src
-	c.pages = pages
-	c.pages.CopyFrom(src.pages)
-}
-
 // copyDirty overwrites c with src's state through the page table's
-// dirty-chunk path, returning the bytes copied.
+// dirty-chunk path, returning the bytes copied. The recency order and
+// dirty flags live inside the flat page table, so the copy evicts the
+// same translation pages the original would.
 func (c *cmt) copyDirty(src *cmt) int {
 	pages := c.pages
+	if pages == nil {
+		pages = new(flathash.Map[bool])
+	}
 	*c = *src
 	c.pages = pages
-	return c.pages.CopyDirty(src.pages)
-}
-
-// CopyFrom makes f an exact copy of src bound to dev, reusing f's
-// existing allocations — the recycled-clone path of the warm-state
-// free-list. f must have been built (or previously cloned) from the
-// same configuration as src, so every table has the right shape and
-// the copy degenerates to flat memmoves; shape mismatches fall back to
-// fresh allocation, preserving correctness. Observable behavior is
-// identical to Clone: the same bit-identity contract applies.
-func (f *FTL) CopyFrom(src *FTL, dev *flash.Device) {
-	f.dev = dev
-	prevPolicy := f.opts.Policy
-	f.opts = src.opts
-	if cp, ok := src.opts.Policy.(ClonablePolicy); ok {
-		// Stateful policies are part of the warm state: reuse the
-		// recycled runner's instance in place when the concrete types
-		// match (the common case — one policy kind per snapshot),
-		// otherwise clone fresh.
-		if sp, ok := src.opts.Policy.(*RandomPolicy); ok {
-			if dp, ok := prevPolicy.(*RandomPolicy); ok {
-				*dp = *sp
-				f.opts.Policy = dp
-			} else {
-				f.opts.Policy = sp.ClonePolicy()
-			}
-		} else {
-			f.opts.Policy = cp.ClonePolicy()
-		}
-	}
-	f.geo = src.geo
-	f.dies = src.dies
-	f.gcFreeOK = src.gcFreeOK
-	if f.idx == nil {
-		f.idx = src.idx.Clone()
-	} else {
-		f.idx.CopyFrom(src.idx)
-	}
-	f.mapping = append(f.mapping[:0], src.mapping...)
-	f.owners = append(f.owners[:0], src.owners...)
-	f.rev.copyFrom(&src.rev)
-	f.blocks = append(f.blocks[:0], src.blocks...)
-	if len(f.freeByDie) != len(src.freeByDie) {
-		f.freeByDie = make([][]flash.BlockID, len(src.freeByDie))
-	}
-	for i, l := range src.freeByDie {
-		f.freeByDie[i] = append(f.freeByDie[i][:0], l...)
-	}
-	f.freeCount = src.freeCount
-	f.hotRR = src.hotRR
-	f.coldOpen = src.coldOpen
-	f.hasCold = src.hasCold
-	f.hotOpen = append(f.hotOpen[:0], src.hotOpen...)
-	f.hasHot = append(f.hasHot[:0], src.hasHot...)
-	f.gcEligible = append(f.gcEligible[:0], src.gcEligible...)
-	f.vix.copyFrom(&src.vix)
-	// candScratch is rebuilt on every GC invocation and carries no live
-	// data across calls; keep the recycled buffer, exactly as Clone
-	// starts with none.
-	f.inGC = src.inGC
-	f.gcBusyUntil = src.gcBusyUntil
-	f.gcHashEnd = src.gcHashEnd
-	switch {
-	case src.cmt == nil:
-		f.cmt = nil
-	case f.cmt == nil:
-		f.cmt = src.cmt.clone()
-	default:
-		f.cmt.copyFrom(src.cmt)
-	}
-	f.stats = src.stats
-	f.tr = src.tr
-	f.RefDist = src.RefDist
-	f.logicalPages = src.logicalPages
-	f.cowMap.Reset() // f equals src everywhere again
-	f.cowOwn.Reset()
+	return pages.CopyDirty(src.pages)
 }
 
 // EnableCOW turns on divergence tracking on the mapping and owners
@@ -195,27 +65,29 @@ func (f *FTL) MarkAllCOW() {
 	}
 }
 
-// CopyDirty re-seeds f from src bound to dev, copying only the chunks
-// f dirtied since it last equaled src, and returns the bytes copied.
-// The big tables (mapping, owners, dedup entries, fingerprint slots,
-// reverse-map arena, cmt page table) go through their dirty-chunk fast
-// paths; everything else — block metadata, free lists, frontiers, the
-// GC bitmap and victim index, scalars, the victim policy — is small
-// and always copied, exactly as CopyFrom does. Untracked state degrades
-// to full copies, so the result is always indistinguishable from
-// CopyFrom.
+// CopyDirty makes f an exact copy of src bound to dev, reusing f's
+// allocations, and returns the bytes copied. Every piece of mutable
+// state is copied: mapping tables, the dedup index, the reverse map,
+// block metadata, free lists, write frontiers, the GC-eligible bitmap
+// and victim index, the cached mapping table, and the victim policy
+// when it carries state (ClonablePolicy). The big tables (mapping,
+// owners, dedup entries, fingerprint slots, reverse-map arena, cmt page
+// table) copy only the chunks f dirtied since it last equaled src when
+// tracked, and everything when untracked (a zero FTL included); the
+// rest is small and always copied.
 func (f *FTL) CopyDirty(src *FTL, dev *flash.Device) int {
 	f.dev = dev
 	prevPolicy := f.opts.Policy
 	f.opts = src.opts
 	if cp, ok := src.opts.Policy.(ClonablePolicy); ok {
-		if sp, ok := src.opts.Policy.(*RandomPolicy); ok {
-			if dp, ok := prevPolicy.(*RandomPolicy); ok {
-				*dp = *sp
-				f.opts.Policy = dp
-			} else {
-				f.opts.Policy = sp.ClonePolicy()
-			}
+		// Stateful policies are part of the warm state: reuse f's
+		// instance in place when the concrete types match (the common
+		// case — one policy kind per snapshot), otherwise clone fresh.
+		sp, sok := src.opts.Policy.(*RandomPolicy)
+		dp, dok := prevPolicy.(*RandomPolicy)
+		if sok && dok {
+			*dp = *sp
+			f.opts.Policy = dp
 		} else {
 			f.opts.Policy = cp.ClonePolicy()
 		}
@@ -223,12 +95,10 @@ func (f *FTL) CopyDirty(src *FTL, dev *flash.Device) int {
 	f.geo = src.geo
 	f.dies = src.dies
 	f.gcFreeOK = src.gcFreeOK
-	var n int
 	if f.idx == nil {
-		f.idx = src.idx.Clone()
-	} else {
-		n += f.idx.CopyDirty(src.idx)
+		f.idx = new(dedup.Index)
 	}
+	n := f.idx.CopyDirty(src.idx)
 	n += cow.CopySlice(f.cowMap, &f.mapping, src.mapping)
 	f.cowMap.Reset()
 	n += cow.CopySlice(f.cowOwn, &f.owners, src.owners)
@@ -249,17 +119,17 @@ func (f *FTL) CopyDirty(src *FTL, dev *flash.Device) int {
 	n += cow.CopyAll(&f.hasHot, src.hasHot)
 	n += cow.CopyAll(&f.gcEligible, src.gcEligible)
 	n += f.vix.copyFrom(&src.vix)
-	// candScratch: rebuilt on every GC invocation, kept as-is (like
-	// CopyFrom).
+	// candScratch is rebuilt on every GC invocation and carries no live
+	// data across calls: f keeps its own buffer (a zero FTL has none).
 	f.inGC = src.inGC
 	f.gcBusyUntil = src.gcBusyUntil
 	f.gcHashEnd = src.gcHashEnd
-	switch {
-	case src.cmt == nil:
+	if src.cmt == nil {
 		f.cmt = nil
-	case f.cmt == nil:
-		f.cmt = src.cmt.clone()
-	default:
+	} else {
+		if f.cmt == nil {
+			f.cmt = new(cmt)
+		}
 		n += f.cmt.copyDirty(src.cmt)
 	}
 	f.stats = src.stats

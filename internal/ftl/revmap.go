@@ -120,26 +120,6 @@ func (m *revMap) clear(c dedup.CID) {
 	m.trkCID.Mark(int(c))
 }
 
-// clone returns an independent deep copy — flat copies only, no
-// per-chain work.
-func (m *revMap) clone() revMap {
-	return revMap{
-		ends:  slices.Clone(m.ends),
-		nodes: slices.Clone(m.nodes),
-		free:  m.free,
-	}
-}
-
-// copyFrom overwrites m with src's state, reusing m's arrays and
-// keeping (resetting) m's own trackers.
-func (m *revMap) copyFrom(src *revMap) {
-	m.ends = append(m.ends[:0], src.ends...)
-	m.nodes = append(m.nodes[:0], src.nodes...)
-	m.free = src.free
-	m.trkCID.Reset()
-	m.trkNodes.Reset()
-}
-
 // enableCOW turns on divergence tracking for the CID tables and the
 // node arena. Idempotent.
 func (m *revMap) enableCOW() {
@@ -154,9 +134,9 @@ func (m *revMap) markAllCOW() {
 	m.trkNodes.MarkAll()
 }
 
-// copyDirty re-seeds m from src copying only dirty chunks and returns
-// the bytes copied. Untracked maps degrade to the full copy with full
-// accounting.
+// copyDirty makes m an exact copy of src, reusing m's arrays, and
+// returns the bytes copied: only dirty chunks when tracked, everything
+// when untracked. m keeps its own trackers, reset.
 func (m *revMap) copyDirty(src *revMap) int {
 	n := cow.CopySlice(m.trkCID, &m.ends, src.ends)
 	n += cow.CopySlice(m.trkNodes, &m.nodes, src.nodes)

@@ -96,9 +96,9 @@ func schemeMatrix() []Options {
 
 // TestGreedyIndexDifferential checks the indexed greedy pick against
 // GreedyPolicy.Select at every GC trigger across the scheme × policy
-// matrix, and again on FTLs re-seeded through Clone, CopyFrom, and
-// CopyDirty — each must carry an index that keeps agreeing as it runs
-// on.
+// matrix, and again on FTLs re-seeded through Clone, an untracked
+// CopyDirty, and a tracked CopyDirty — each must carry an index that
+// keeps agreeing as it runs on.
 func TestGreedyIndexDifferential(t *testing.T) {
 	for _, opts := range schemeMatrix() {
 		for _, pol := range policyMatrix() {
@@ -120,13 +120,14 @@ func TestGreedyIndexDifferential(t *testing.T) {
 					t.Fatalf("master after clone ran on: %v", err)
 				}
 
-				// CopyFrom onto an FTL with diverged state.
+				// Untracked CopyDirty (a full copy) onto an FTL with
+				// diverged state.
 				g := newFTL(t, opts)
 				checkOn(t, g, pol)
 				drive(t, g, n/2, 3, 0)
-				g.Device().CopyFrom(f.Device())
-				g.CopyFrom(f, g.Device())
-				sameVictim(t, "CopyFrom", f, g)
+				g.Device().CopyDirty(f.Device())
+				g.CopyDirty(f, g.Device())
+				sameVictim(t, "untracked CopyDirty", f, g)
 				checkOn(t, g, pol)
 				drive(t, g, n/2, 4, now)
 

@@ -26,6 +26,13 @@ const (
 	KindFleet = "fleet" // fleet-scale population, merged report
 )
 
+// maxFanOut bounds a sweep's Count and a fleet's Devices: the longest
+// seed list a MaxSpecBytes body can carry (each seed takes at least two
+// bytes, digit and comma). A sweep is the same job as that batch, and a
+// fleet device costs no less than a batch run, so neither may ask for
+// more members than a batch body can name.
+const maxFanOut = MaxSpecBytes / 2
+
 // JobSpec is the JSON body of POST /v1/jobs. Zero fields take the
 // CLI's defaults (workload Mail, scheme cagc, policy greedy, canonical
 // Params). Params.Trace and Params.Ctx must stay unset — tracing is
@@ -154,8 +161,8 @@ func (spec JobSpec) resolve(defTimeout, maxTimeout time.Duration) (*resolvedJob,
 		r.seeds = spec.Seeds
 		r.key = r.seedsKey()
 	case KindSweep:
-		if spec.Count <= 0 {
-			return nil, fmt.Errorf("sweep jobs need count > 0")
+		if spec.Count <= 0 || spec.Count > maxFanOut {
+			return nil, fmt.Errorf("sweep jobs need 0 < count <= %d", maxFanOut)
 		}
 		if len(spec.Seeds) > 0 || spec.Fleet != nil {
 			return nil, fmt.Errorf("sweep jobs take no seeds/fleet (count generates them)")
@@ -172,8 +179,8 @@ func (spec JobSpec) resolve(defTimeout, maxTimeout time.Duration) (*resolvedJob,
 		// they share one cache entry.
 		r.key = r.seedsKey()
 	case KindFleet:
-		if spec.Fleet == nil || spec.Fleet.Devices <= 0 {
-			return nil, fmt.Errorf("fleet jobs need fleet.Devices > 0")
+		if spec.Fleet == nil || spec.Fleet.Devices <= 0 || spec.Fleet.Devices > maxFanOut {
+			return nil, fmt.Errorf("fleet jobs need 0 < fleet.Devices <= %d", maxFanOut)
 		}
 		if len(spec.Seeds) > 0 || spec.Count > 0 {
 			return nil, fmt.Errorf("fleet jobs take no seeds/count")

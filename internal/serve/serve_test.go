@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -358,6 +360,46 @@ func TestServeRejectsOversizedSpec(t *testing.T) {
 	}
 	if jobs := s.Jobs(); len(jobs) != 0 {
 		t.Fatalf("oversized spec registered %d jobs", len(jobs))
+	}
+}
+
+// A sweep count or fleet size past maxFanOut is answered 400 at
+// admission: nothing is queued or registered, and rejecting it
+// allocates nothing proportional to the requested fan-out.
+func TestServeRejectsOversizedFanOut(t *testing.T) {
+	s := New(Options{})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cases := []string{
+		`{"kind":"sweep","count":1000000000000}`,
+		fmt.Sprintf(`{"kind":"sweep","count":%d}`, maxFanOut+1),
+		`{"kind":"fleet","fleet":{"Devices":1000000000000}}`,
+		fmt.Sprintf(`{"kind":"fleet","fleet":{"Devices":%d}}`, maxFanOut+1),
+	}
+	for _, body := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %s: status %d (%s), want 400", body, resp.StatusCode, msg)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("spec %s: rejecting it allocated %d bytes, want < 1 MiB", body, grew)
+		}
+	}
+	if qs := s.queue.Stats(); qs.Admitted != 0 {
+		t.Fatalf("oversized fan-out reached the queue: %+v", qs)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized fan-out registered %d jobs", len(jobs))
 	}
 }
 

@@ -5,8 +5,8 @@ package sim
 // thousands of them back to back — clone churn becomes the allocator's
 // dominant load well before it becomes a correctness problem. The
 // free-list below recycles completed runners: Release parks a runner,
-// Acquire re-seeds a parked one from the snapshot master via the
-// CopyFrom chain (device, FTL, index, buffer), which reuses every
+// Acquire re-seeds a parked one from the snapshot master through each
+// layer's CopyDirty (device, FTL, index, buffer), which reuses every
 // backing array in place of a fresh Clone. After each worker's first
 // run a snapshot serves clones with zero heap growth, and the number
 // of live clones is bounded by the number of workers — not by the
@@ -17,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cagc/internal/event"
 	"cagc/internal/trace"
 )
 
@@ -134,13 +133,13 @@ func (r *Runner) markAllCOW() {
 	}
 }
 
-// reseed re-seeds r from master through the CopyDirty chain, copying
-// only the chunks r's previous run dirtied, and returns the bytes
-// copied. Untracked runners (or all-dirty state) degrade to the full
-// CopyFrom chain; either way r ends bit-identical to the state Clone
-// would produce, without the fresh heap. r must have been cloned from
-// the same snapshot (same shapes) — guaranteed by the free-list, the
-// only caller.
+// reseed makes r an exact copy of master through each layer's
+// CopyDirty (device, FTL, write buffer), rebinding the layers to each
+// other, and returns the bytes copied. A tracked runner copies only the
+// chunks its previous run dirtied; untracked (or all-dirty) state —
+// including the zero layers Clone starts from — is copied whole.
+// Either way r ends bit-identical to master, and a recycled runner gets
+// there without fresh heap. The scheduler is left alone (see adopt).
 func (r *Runner) reseed(master *Runner) int {
 	n := r.dev.CopyDirty(master.dev)
 	n += r.f.CopyDirty(master.f, r.dev)
@@ -201,14 +200,7 @@ func (s *Snapshot) Acquire(cfg Config) (*Runner, error) {
 		r.enableCOW()
 	}
 	gaugeAcquire(recycled)
-	r.cfg = cfg
-	r.SetTracer(cfg.Tracer)
-	// Replay-only state, rebuilt per run exactly as Snapshot.NewRunner
-	// does: the master preconditions synchronously, so its scheduler is
-	// pristine, and a recycled runner's scheduler belongs to its
-	// previous run.
-	r.es = event.NewSimOpts(cfg.Sched, cfg.Device.Latencies.Read)
-	return r, nil
+	return r.adopt(cfg), nil
 }
 
 // Release parks r for recycling by a later Acquire (up to the

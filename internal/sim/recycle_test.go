@@ -11,10 +11,11 @@ import (
 
 // A recycled runner must be indistinguishable from a fresh clone: the
 // first RunWarmRecycled cuts a clone, releases it, and every later run
-// re-seeds that same runner via the CopyFrom chain. All of them must
-// reproduce a cold Run bit for bit — including with the full stateful
-// stack (write buffer, cached mapping table, stateful victim policy,
-// closed-loop replay), which exercises every CopyFrom in the tree.
+// re-seeds that same runner through each layer's CopyDirty. All of
+// them must reproduce a cold Run bit for bit — including with the full
+// stateful stack (write buffer, cached mapping table, stateful victim
+// policy, closed-loop replay), which exercises every CopyDirty in the
+// tree.
 func TestRunWarmRecycledMatchesColdRun(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,15 +1,16 @@
 package sim
 
 // Dirty-chunk re-seeding is an optimization with an exact contract: a
-// recycled runner re-seeded through the CopyDirty chain must be
-// bit-identical to one re-seeded through the full CopyFrom chain, and
-// both must reproduce a cold run. The tests here are the differential
-// proof: state-level (two runners, identical histories, dirty vs full
-// re-seed, DeepEqual on every layer) and result-level (cold vs
-// dirty-recycled vs full-recycled across schemes, policies, and loop
-// modes, DeepEqual + byte-equal JSON). BenchmarkReseed and
-// TestReseedBytesRatio pin the payoff: a short replay on a large
-// device re-seeds in a fraction of the full-copy bytes.
+// recycled runner re-seeded through the dirty-chunk CopyDirty path
+// must be bit-identical to one forced onto its full-copy path
+// (MarkAllCOW), and both must reproduce a cold run. The tests here are
+// the differential proof: state-level (two runners, identical
+// histories, dirty vs full re-seed, DeepEqual on every layer) and
+// result-level (cold vs dirty-recycled vs full-recycled across
+// schemes, policies, and loop modes, DeepEqual + byte-equal JSON).
+// BenchmarkReseed and TestReseedBytesRatio pin the payoff: a short
+// replay on a large device re-seeds in a fraction of the full-copy
+// bytes.
 
 import (
 	"encoding/json"
@@ -42,9 +43,9 @@ func reseedShape(t testing.TB) (Config, trace.Spec, trace.Spec) {
 }
 
 // The re-seed byte-ratio guard: on the pinned shape, a dirty-chunk
-// re-seed must copy at least 4x fewer bytes than the full CopyFrom
-// chain. Everything here is deterministic — the same trace dirties the
-// same chunks every run — so the guard is exact, not statistical.
+// re-seed must copy at least 4x fewer bytes than a full copy.
+// Everything here is deterministic — the same trace dirties the same
+// chunks every run — so the guard is exact, not statistical.
 func TestReseedBytesRatio(t *testing.T) {
 	cfg, spec, replay := reseedShape(t)
 	snap, err := NewSnapshot(cfg, spec)

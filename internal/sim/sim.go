@@ -223,10 +223,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The calendar's bucket width is sized from the device's read
-	// latency — the smallest latency that separates events.
-	r := &Runner{cfg: cfg, dev: dev, f: f,
-		es: event.NewSimOpts(cfg.Sched, cfg.Device.Latencies.Read)}
+	r := &Runner{cfg: cfg, dev: dev, f: f, es: cfg.newSched()}
 	if cfg.BufferPages > 0 {
 		if r.buf, err = buffer.New(f, cfg.BufferPages); err != nil {
 			return nil, err
@@ -255,6 +252,13 @@ func (r *Runner) SetTracer(tr obs.Tracer) {
 // warm snapshot with a compatible config can serve a tenant scenario.
 func (r *Runner) SetTenants(ranges []trace.TenantRange) {
 	r.tenants = ranges
+}
+
+// newSched builds an empty scheduler of cfg's kind. The calendar's
+// bucket width is sized from the device's read latency — the smallest
+// latency that separates events.
+func (cfg Config) newSched() *event.Sim {
+	return event.NewSimOpts(cfg.Sched, cfg.Device.Latencies.Read)
 }
 
 // Buffer returns the interposed write buffer, or nil.

@@ -6,6 +6,8 @@ import (
 	"sync"
 
 	"cagc/internal/event"
+	"cagc/internal/flash"
+	"cagc/internal/ftl"
 	"cagc/internal/trace"
 )
 
@@ -32,15 +34,14 @@ type Snapshot struct {
 	freeCap int
 }
 
-// Clone returns a deep, independent copy of the runner: device, FTL,
-// and write buffer, rebound to each other. See ftl.FTL.Clone for the
-// bit-identity contract.
+// Clone returns a deep, independent, untracked copy of the runner:
+// device, FTL, and write buffer, rebound to each other (see reseed),
+// with a fresh scheduler — the scheduler is replay-only state, and the
+// master preconditions without it, so a fresh one is identical. See
+// ftl.FTL.Clone for the bit-identity contract.
 func (r *Runner) Clone() *Runner {
-	dev := r.dev.Clone()
-	c := &Runner{cfg: r.cfg, dev: dev, f: r.f.Clone(dev), tr: r.tr, es: r.es.Clone()}
-	if r.buf != nil {
-		c.buf = r.buf.Clone(c.f)
-	}
+	c := &Runner{dev: new(flash.Device), f: new(ftl.FTL), es: r.cfg.newSched()}
+	c.reseed(r)
 	return c
 }
 
@@ -104,14 +105,18 @@ func (s *Snapshot) NewRunner(cfg Config) (*Runner, error) {
 	if err := s.compatible(cfg); err != nil {
 		return nil, err
 	}
-	r := s.master.Clone()
+	return s.master.Clone().adopt(cfg), nil
+}
+
+// adopt installs a run's cfg on a runner cut or re-seeded from the
+// master: the config itself, its tracer, and a fresh scheduler of the
+// requested kind. The scheduler is replay-only state; a recycled
+// runner's belongs to its previous run.
+func (r *Runner) adopt(cfg Config) *Runner {
 	r.cfg = cfg
 	r.SetTracer(cfg.Tracer)
-	// The scheduler is replay-only state (the master preconditions
-	// synchronously, so its scheduler is pristine): rebuild it to the
-	// requested kind rather than inheriting the snapshot's.
-	r.es = event.NewSimOpts(cfg.Sched, cfg.Device.Latencies.Read)
-	return r, nil
+	r.es = cfg.newSched()
+	return r
 }
 
 // compatible rejects configurations whose warm state would differ from

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -18,6 +19,12 @@ var magic = [8]byte{'C', 'A', 'G', 'C', 'T', 'R', '0', '1'}
 
 // ErrBadMagic indicates the input is not a binary CAGC trace.
 var ErrBadMagic = errors.New("trace: bad magic (not a CAGC binary trace)")
+
+// maxRequestPages is the longest request any decoder accepts. Every
+// decoded stream must re-encode to a binary trace that decodes back,
+// so the text and FIU parsers enforce the binary reader's cap too; it
+// also bounds the fingerprint slice one parsed line can allocate.
+const maxRequestPages = 1 << 20
 
 // Writer streams requests into the compact binary trace format:
 // delta-encoded arrival times and uvarint fields, one fingerprint per
@@ -125,6 +132,9 @@ func (tr *Reader) Next() (Request, bool) {
 	if err != nil {
 		return fail(err) // EOF here is a clean end of trace
 	}
+	if delta > uint64(math.MaxInt64-tr.lastAt) {
+		return fail(fmt.Errorf("trace: arrival time overflows after %v", tr.lastAt))
+	}
 	var r Request
 	tr.lastAt += event.Time(delta)
 	r.At = tr.lastAt
@@ -143,7 +153,7 @@ func (tr *Reader) Next() (Request, bool) {
 	if err != nil {
 		return fail(fmt.Errorf("trace: truncated record: %w", err))
 	}
-	if pages == 0 || pages > 1<<20 {
+	if pages == 0 || pages > maxRequestPages {
 		return fail(fmt.Errorf("trace: implausible page count %d", pages))
 	}
 	r.Pages = int(pages)
@@ -195,9 +205,10 @@ func WriteText(w io.Writer, src Source) (int, error) {
 
 // TextReader parses the text format. It implements Source.
 type TextReader struct {
-	sc   *bufio.Scanner
-	err  error
-	line int
+	sc     *bufio.Scanner
+	err    error
+	line   int
+	lastAt event.Time // arrivals must not go backwards
 }
 
 // NewTextReader wraps r for text-format parsing.
@@ -219,10 +230,14 @@ func (tr *TextReader) Next() (Request, bool) {
 			continue
 		}
 		r, err := parseTextLine(line)
+		if err == nil && r.At < tr.lastAt {
+			err = fmt.Errorf("arrival %d before the previous %d", r.At, tr.lastAt)
+		}
 		if err != nil {
 			tr.err = fmt.Errorf("trace: line %d: %w", tr.line, err)
 			return Request{}, false
 		}
+		tr.lastAt = r.At
 		return r, true
 	}
 	if tr.err == nil {
@@ -256,7 +271,7 @@ func parseTextLine(line string) (Request, error) {
 		return Request{}, fmt.Errorf("lpn: %w", err)
 	}
 	pages, err := strconv.Atoi(f[3])
-	if err != nil || pages < 1 {
+	if err != nil || pages < 1 || pages > maxRequestPages {
 		return Request{}, fmt.Errorf("pages: %q", f[3])
 	}
 	r.Pages = pages

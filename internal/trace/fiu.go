@@ -33,6 +33,7 @@ type FIUReader struct {
 	err   error
 	line  int
 	base  event.Time // first timestamp, subtracted so replay starts at 0
+	last  event.Time // previous arrival; inversions clamp to it
 	has   bool
 	scale float64
 }
@@ -87,18 +88,21 @@ func (fr *FIUReader) parse(line string) (Request, error) {
 		fr.base = at
 		fr.has = true
 	}
-	rel := at - fr.base
-	if rel < 0 {
-		rel = 0 // traces occasionally have small timestamp inversions
+	rel := event.Time(float64(at-fr.base) * fr.scale)
+	if rel < fr.last {
+		// Traces occasionally have small timestamp inversions; a Source
+		// never goes backwards, so an inverted arrival rides with the
+		// previous one.
+		rel = fr.last
 	}
-	rel = event.Time(float64(rel) * fr.scale)
+	fr.last = rel
 
 	block, err := strconv.ParseUint(f[3], 10, 64)
 	if err != nil {
 		return Request{}, fmt.Errorf("block: %w", err)
 	}
 	count, err := strconv.Atoi(f[4])
-	if err != nil || count < 1 {
+	if err != nil || count < 1 || count > maxRequestPages {
 		return Request{}, fmt.Errorf("count: %q", f[4])
 	}
 	r := Request{At: rel, LPN: block, Pages: count}

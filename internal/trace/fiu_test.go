@@ -71,15 +71,20 @@ func TestFIUReaderTimeScale(t *testing.T) {
 	}
 }
 
+// An inverted timestamp rides with the previous arrival, so the stream
+// stays nondecreasing (and re-encodes to the binary container).
 func TestFIUReaderTimestampInversion(t *testing.T) {
-	in := "100 1 p 5 1 R 8 1 x\n50 1 p 6 1 R 8 1 x\n"
+	in := "100 1 p 5 1 R 8 1 x\n50 1 p 6 1 R 8 1 x\n300 1 p 7 1 R 8 1 x\n200 1 p 8 1 R 8 1 x\n"
 	fr := NewFIUReader(strings.NewReader(in), 1)
 	got := Collect(fr)
 	if fr.Err() != nil {
 		t.Fatal(fr.Err())
 	}
 	if got[1].At != 0 {
-		t.Fatalf("inverted timestamp not clamped: %v", got[1].At)
+		t.Fatalf("inversion below the first timestamp: %v, want 0", got[1].At)
+	}
+	if got[3].At != 200 {
+		t.Fatalf("inversion after the first timestamp: %v, want the previous arrival 200", got[3].At)
 	}
 }
 

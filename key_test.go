@@ -3,6 +3,7 @@ package cagc
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,47 @@ func TestConfigKeyCanonical(t *testing.T) {
 			t.Fatalf("field %s keys identically to %s", field, prev)
 		}
 		seen[key] = field
+	}
+}
+
+// Every Params field is classified: either it is one of the explicitly
+// excluded knobs, which must leave the key alone, or it is identity and
+// must move the key. A new field fails here until it enters
+// configKeyMaterial or the excluded list — otherwise the result cache
+// would serve documents computed under a different value of it.
+func TestConfigKeyClassifiesEveryParam(t *testing.T) {
+	excluded := map[string]any{
+		"ColdStart": true,
+		"Trace":     NewTraceRecorder(),
+		"Sched":     "calendar",
+		"Ctx":       context.Background(),
+	}
+	base := ConfigKey(Mail, CAGC, "", Params{})
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		field := typ.Field(i)
+		var p Params
+		v := reflect.ValueOf(&p).Elem().Field(i)
+		if sample, ok := excluded[field.Name]; ok {
+			v.Set(reflect.ValueOf(sample))
+			if ConfigKey(Mail, CAGC, "", p) != base {
+				t.Errorf("excluded field %s moved the key", field.Name)
+			}
+			continue
+		}
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(3)
+		case reflect.Float64:
+			v.SetFloat(0.3)
+		default:
+			t.Errorf("field %s (%s): classify it as identity or excluded, and teach this test to perturb it",
+				field.Name, field.Type)
+			continue
+		}
+		if ConfigKey(Mail, CAGC, "", p) == base {
+			t.Errorf("field %s is neither in configKeyMaterial nor excluded", field.Name)
+		}
 	}
 }
 
